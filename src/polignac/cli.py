@@ -38,6 +38,7 @@ class CommandResult:
     command: str
     payload: dict
     exit_code: int
+    fmt: str = "text"
 
 
 def _rational(value: Fraction) -> str:
@@ -229,13 +230,11 @@ def run_command(argv: list[str]) -> CommandResult:
     try:
         args = parser.parse_args(argv)
         payload = _dispatch(args)
-    except UsageError as exc:
-        return CommandResult(command, {"error": str(exc)}, EXIT_USAGE)
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         return CommandResult(command, {"error": str(exc)}, EXIT_USAGE)
     except packing.InvariantViolation as exc:
         return CommandResult(command, {"error": str(exc)}, EXIT_INVARIANT)
-    return CommandResult(command, payload, EXIT_OK)
+    return CommandResult(command, payload, EXIT_OK, args.format)
 
 
 def render(result: CommandResult, fmt: str) -> str:
@@ -247,19 +246,11 @@ def render(result: CommandResult, fmt: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    fmt = "text"
-    # Peek at --format so error diagnostics never pollute structured output.
-    try:
-        ns, _ = _build_parser().parse_known_args(argv)
-        fmt = ns.format
-    except UsageError:
-        pass
-    result = run_command(argv)
+    result = run_command(list(sys.argv[1:] if argv is None else argv))
     if result.exit_code != EXIT_OK:
         print(result.payload.get("error", "error"), file=sys.stderr)
         return result.exit_code
-    print(render(result, fmt))
+    print(render(result, result.fmt))
     return EXIT_OK
 
 

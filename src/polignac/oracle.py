@@ -10,13 +10,14 @@ inclusion provably still completes to an optimal packing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .admissible import AdmissibleTuple, DiffSet, is_admissible
-from .packing import InvariantViolation, PackingCertificate
+from .packing import InvariantViolation, PackingCertificate, first_fit
 
 DEFAULT_SEARCH_CAP = 5000
 
@@ -75,20 +76,6 @@ def _optimal_count(candidates: Sequence[DiffSet]) -> int:
     return round(-result.fun)
 
 
-def _first_fit_reaches(candidates: Sequence[DiffSet], needed: int) -> bool:
-    """Cheap sufficient feasibility check: first-fit greedy finds a disjoint
-    subfamily of the requested size."""
-    found = 0
-    used: set[int] = set()
-    for ds in candidates:
-        if used.isdisjoint(ds.values):
-            used |= ds.values
-            found += 1
-            if found >= needed:
-                return True
-    return needed <= 0
-
-
 def max_disjoint_packing(
     instance: PackingInstance, *, search_cap: int = DEFAULT_SEARCH_CAP
 ) -> PackingCertificate:
@@ -114,8 +101,10 @@ def max_disjoint_packing(
         taken = used | values
         rest = [cands[j] for j in range(i + 1, n) if cands[j].values.isdisjoint(taken)]
         needed = target - len(chosen) - 1
+        # A first-fit subfamily of the needed size is a cheap sufficient proof.
+        fits = islice(first_fit((ds, ds.values) for ds in rest), needed)
         if len(rest) >= needed and (
-            _first_fit_reaches(rest, needed) or _optimal_count(rest) >= needed
+            len(list(fits)) == needed or _optimal_count(rest) >= needed
         ):
             chosen.append(i)
             used = taken

@@ -1,26 +1,28 @@
 """Density bound formulas and constructive packings of difference sets.
 
-Two constructions are provided: a first-fit greedy over regular admissible
-sets of size k, and a size-3 family built from a zero-padded assignment of
-multiples of 6 to even anchors. Finite-interval upper bounds cap what any
+Both constructions feed candidate difference sets, in a fixed order, through
+one first-fit kernel (:func:`first_fit`) that keeps each candidate disjoint
+from everything kept before it: the greedy over regular admissible sets of
+size k, and the size-3 family {0, 2n, 2n + a_n} read off a zero-padded
+assignment of the multiples of 6. A finite-interval cap bounds what any
 disjoint family of size-3 difference sets can achieve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import TypeVar
 
 from .admissible import AdmissibleTuple, DiffSet, is_admissible
 from .sieve import primorial
 
-THEOREM2_LOWER = "theorem2_lower"
-TRIVIAL_UPPER = "trivial_upper"
-K3_UPPER_ASYMPTOTIC = "k3_upper_asymptotic"
-
 PAPER_LITERAL = "paper_literal"
 EXTENDED = "extended"
 GEH_STRATEGIES = (PAPER_LITERAL, EXTENDED)
+
+K = TypeVar("K")
 
 
 class InvariantViolation(RuntimeError):
@@ -29,7 +31,6 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class DensityBound:
-    kind: str
     k: int
     value: Fraction
 
@@ -38,21 +39,16 @@ class DensityBound:
 class PackingCertificate:
     """A pairwise-disjoint family of difference sets inside [1, x].
 
-    ``raw_count`` is the number of candidates generated before the
-    span/disjointness filters; it equals ``count`` when nothing was dropped.
+    ``raw_count`` is the number of candidates before any filter, so it is
+    at least ``count``. Per construction it counts: the greedy, the indices
+    n <= n_max; geh, the non-empty assignment slots in range, before the
+    span filter; the exact oracle, the enumerated candidates.
     """
 
     k: int
     x: int
     members: tuple[tuple[str, DiffSet], ...]
     raw_count: int
-    covered: frozenset[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        union: set[int] = set()
-        for _, ds in self.members:
-            union |= ds.values
-        object.__setattr__(self, "covered", frozenset(union))
 
     @property
     def count(self) -> int:
@@ -66,32 +62,27 @@ class PackingCertificate:
         """Re-check every certificate invariant; raise on any violation."""
         if self.count > self.raw_count:
             raise InvariantViolation("count exceeds raw_count")
+        covered: set[int] = set()
         total = 0
         for label, ds in self.members:
             if not ds.values:
                 raise InvariantViolation(f"member {label} is empty")
             if min(ds.values) < 1 or ds.span > self.x:
                 raise InvariantViolation(f"member {label} not contained in [1, {self.x}]")
+            covered |= ds.values
             total += len(ds.values)
-        if total != len(self.covered):
+        if total != len(covered):
             raise InvariantViolation("members are not pairwise disjoint")
 
 
-@dataclass(frozen=True)
-class GehAssignment:
-    """Zero-padded decreasing assignment of the multiples of 6 in [6, x-2].
-
-    Slot i holds 0 when 3 | i; the remaining slots hold the multiples of 6
-    in strictly decreasing order, pairing slot i with the i-th largest.
-    """
-
-    x: int
-    sequence: tuple[int, ...]
-    strategy: str
-
-    @property
-    def slots(self) -> int:
-        return len(self.sequence)
+def first_fit(candidates: Iterable[tuple[K, frozenset[int]]]) -> Iterator[tuple[K, frozenset[int]]]:
+    """Yield, in input order, each ``(key, values)`` pair whose values are
+    disjoint from the values of every pair yielded before it."""
+    used: set[int] = set()
+    for key, values in candidates:
+        if used.isdisjoint(values):
+            used |= values
+            yield key, values
 
 
 def lower_bound_density(k: int) -> DensityBound:
@@ -99,19 +90,19 @@ def lower_bound_density(k: int) -> DensityBound:
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     value = Fraction(2, (k - 1) * ((k - 1) * (k - 2) + 2) * primorial(k))
-    return DensityBound(THEOREM2_LOWER, k, value)
+    return DensityBound(k, value)
 
 
 def trivial_upper_bound_density(k: int) -> DensityBound:
     """Cap 1 / (2(k-1)): each difference set needs k-1 distinct even values."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return DensityBound(TRIVIAL_UPPER, k, Fraction(1, 2 * (k - 1)))
+    return DensityBound(k, Fraction(1, 2 * (k - 1)))
 
 
 def k3_upper_bound_density() -> DensityBound:
     """Asymptotic cap 7/36 for disjoint size-3 difference set families."""
-    return DensityBound(K3_UPPER_ASYMPTOTIC, 3, Fraction(7, 36))
+    return DensityBound(3, Fraction(7, 36))
 
 
 def regular_overlap(k: int, n: int, m: int) -> bool:
@@ -141,14 +132,9 @@ def greedy_regular_packing(k: int, x: int) -> PackingCertificate:
         raise ValueError(f"x must be positive, got {x}")
     step = primorial(k)
     n_max = x // ((k - 1) * step)
-    used: set[int] = set()
-    members = []
-    for n in range(1, n_max + 1):
-        values = frozenset(i * n * step for i in range(1, k))
-        if used.isdisjoint(values):
-            used |= values
-            members.append((f"n={n}", DiffSet(values)))
-    return PackingCertificate(k, x, tuple(members), raw_count=n_max)
+    candidates = ((n, frozenset(i * n * step for i in range(1, k))) for n in range(1, n_max + 1))
+    members = tuple((f"n={n}", DiffSet(values)) for n, values in first_fit(candidates))
+    return PackingCertificate(k, x, members, raw_count=n_max)
 
 
 def greedy_counting_floor(k: int, x: int) -> int:
@@ -158,13 +144,15 @@ def greedy_counting_floor(k: int, x: int) -> int:
     return 2 * n_max // ((k - 1) * (k - 2) + 2) - 1
 
 
-def geh_assignment(x: int, strategy: str = EXTENDED) -> GehAssignment:
-    """Build the zero-padded sequence backing the size-3 construction."""
-    if strategy not in GEH_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+def geh_assignment(x: int) -> tuple[int, ...]:
+    """Zero-padded decreasing assignment of the multiples of 6 in [6, x-2].
+
+    Slot i holds 0 when 3 | i; the remaining slots hold the multiples of 6
+    in strictly decreasing order, pairing slot i with the i-th largest.
+    """
     count = (x - 2) // 6 if x >= 8 else 0
     if count == 0:
-        return GehAssignment(x, (), strategy)
+        return ()
     # Smallest slot count whose non-multiple-of-3 positions number exactly `count`.
     slots = 3 * ((count - 1) // 2) + 1 + (count - 1) % 2
     sequence = []
@@ -174,42 +162,39 @@ def geh_assignment(x: int, strategy: str = EXTENDED) -> GehAssignment:
         else:
             rank = i - i // 3
             sequence.append(6 * (count - rank + 1))
-    return GehAssignment(x, tuple(sequence), strategy)
+    return tuple(sequence)
 
 
 def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
-    """Size-3 packing from patterns {0, 2n, 2n + a_n} with 3 not dividing n.
+    """Size-3 packing from patterns {0, 2n, 2n + a_n} over the non-empty slots.
 
     The literal range stops at n <= floor(x/6); the extended range uses every
-    non-zero slot of the assignment. Candidates whose span exceeds x are
-    dropped, admissibility of each survivor is verified, and disjointness is
-    enforced by first-fit filtering in increasing n.
+    slot of the assignment. Candidates whose span exceeds x are dropped,
+    admissibility of each survivor is verified, and disjointness is enforced
+    by first-fit filtering in increasing n.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    assignment = geh_assignment(x, strategy)
-    n_max = min(x // 6, assignment.slots) if strategy == PAPER_LITERAL else assignment.slots
-    raw_count = 0
-    used: set[int] = set()
-    members = []
-    for n in range(1, n_max + 1):
-        if n % 3 == 0:
-            continue
-        a = assignment.sequence[n - 1]
-        if a == 0:
-            continue
-        raw_count += 1
-        top = 2 * n + a
-        if top > x:
-            continue
-        pattern = AdmissibleTuple((0, 2 * n, top))
-        if not is_admissible(pattern):
-            raise InvariantViolation(f"generated pattern {pattern.offsets} is not admissible")
-        values = frozenset({2 * n, a, top})
-        if used.isdisjoint(values):
-            used |= values
-            members.append((f"n={n}", DiffSet(values)))
-    return PackingCertificate(3, x, tuple(members), raw_count=raw_count)
+    if strategy not in GEH_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    slots = geh_assignment(x)
+    n_max = min(x // 6, len(slots)) if strategy == PAPER_LITERAL else len(slots)
+
+    def candidates() -> Iterator[tuple[int, frozenset[int]]]:
+        for n, a in enumerate(slots[:n_max], start=1):
+            if a == 0:
+                continue
+            top = 2 * n + a
+            if top > x:
+                continue
+            pattern = AdmissibleTuple((0, 2 * n, top))
+            if not is_admissible(pattern):
+                raise InvariantViolation(f"generated pattern {pattern.offsets} is not admissible")
+            yield n, frozenset({2 * n, a, top})
+
+    members = tuple((f"n={n}", DiffSet(values)) for n, values in first_fit(candidates()))
+    # Slot n is empty exactly when 3 | n.
+    return PackingCertificate(3, x, members, raw_count=n_max - n_max // 3)
 
 
 def k3_finite_upper_bound(x: int) -> int:

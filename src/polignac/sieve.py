@@ -64,5 +64,5 @@ def prime_pair_census(x: int, dmax: int, *, limit: int = DEFAULT_CENSUS_LIMIT) -
     prime_set = set(table.primes)
     counts = {}
     for d in range(2, dmax + 1, 2):
-        counts[d] = sum(1 for p in table.primes if p + d <= x and p + d in prime_set)
+        counts[d] = sum(1 for p in table.primes if p + d in prime_set)
     return CensusReport(x, dmax, counts)

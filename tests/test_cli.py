@@ -1,5 +1,6 @@
 import json
 
+from polignac import packing
 from polignac.cli import main, render, run_command
 
 
@@ -119,3 +120,11 @@ class TestPlumbing:
         assert main(["bound", "--k", "3", "--format", "json"]) == 0
         after = capsys.readouterr().out
         assert before == after
+
+    def test_invariant_violation_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(packing, "is_admissible", lambda pattern: False)
+        assert run_command(["pack", "geh", "--x", "20"]).exit_code == 2
+        assert main(["pack", "geh", "--x", "20", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not admissible" in captured.err

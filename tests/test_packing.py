@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polignac.admissible import difference_set, normalize, regular_admissible
+from polignac.admissible import DiffSet, difference_set, normalize, regular_admissible
 from polignac.packing import (
     EXTENDED,
     PAPER_LITERAL,
+    InvariantViolation,
+    PackingCertificate,
+    first_fit,
     geh_assignment,
     geh_family,
     greedy_counting_floor,
@@ -110,19 +113,55 @@ class TestGreedyRegularPacking:
         assert cert.density == Fraction(5, 100)
 
 
+class TestFirstFit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(min_value=1, max_value=30), max_size=4), max_size=25))
+    def test_keeps_disjoint_in_order(self, sets):
+        kept = list(first_fit(enumerate(sets)))
+        kept_keys = [i for i, _ in kept]
+        assert kept_keys == sorted(kept_keys)
+        assert all(sets[i] == values for i, values in kept)
+        for a, (_, va) in enumerate(kept):
+            for _, vb in kept[a + 1 :]:
+                assert va.isdisjoint(vb)
+        for i, values in enumerate(sets):
+            if i not in kept_keys:
+                assert any(j < i and not values.isdisjoint(vj) for j, vj in kept)
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "members, raw_count",
+        [
+            ([("a", {2, 4}), ("b", {4, 6})], 2),
+            ([("a", {2, 22})], 1),
+            ([("a", {0, 2})], 1),
+            ([("a", set())], 1),
+            ([("a", {2, 4}), ("b", {6, 8})], 1),
+        ],
+        ids=["overlap", "above-x", "below-1", "empty", "count-above-raw"],
+    )
+    def test_rejects(self, members, raw_count):
+        family = tuple((label, DiffSet(frozenset(v))) for label, v in members)
+        with pytest.raises(InvariantViolation):
+            PackingCertificate(3, 20, family, raw_count).validate()
+
+    def test_accepts_disjoint(self):
+        family = (("a", DiffSet(frozenset({2, 4}))), ("b", DiffSet(frozenset({6, 20}))))
+        PackingCertificate(3, 20, family, 2).validate()
+
+
 class TestGehAssignment:
     def test_x20(self):
-        assignment = geh_assignment(20)
-        assert assignment.sequence == (18, 12, 0, 6)
+        assert geh_assignment(20) == (18, 12, 0, 6)
 
     def test_empty_below_8(self):
-        assert geh_assignment(7).sequence == ()
+        assert geh_assignment(7) == ()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=2000))
     def test_invariants(self, x):
-        assignment = geh_assignment(x)
-        seq = assignment.sequence
+        seq = geh_assignment(x)
         nonzero = [a for a in seq if a != 0]
         assert nonzero == sorted(nonzero, reverse=True)
         assert set(nonzero) == set(range(6, x - 1, 6)) if x >= 8 else not nonzero
@@ -146,6 +185,15 @@ class TestGehFamily:
 
     def test_empty_small_x(self):
         assert geh_family(7, PAPER_LITERAL).count == 0
+
+    def test_raw_count(self):
+        assert geh_family(20, PAPER_LITERAL).raw_count == 2
+        assert geh_family(20, EXTENDED).raw_count == 3
+        for x in range(2, 400):
+            slots = len(geh_assignment(x))
+            for strategy, n_max in ((PAPER_LITERAL, min(x // 6, slots)), (EXTENDED, slots)):
+                brute = sum(1 for n in range(1, n_max + 1) if n % 3 != 0)
+                assert geh_family(x, strategy).raw_count == brute
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
