@@ -30,7 +30,7 @@ from .packing import (
     regular_overlap,
     trivial_upper_bound_density,
 )
-from .sieve import CensusReport, PrimeTable, prime_pair_census, primes_up_to, primorial
+from .sieve import CensusReport, prime_pair_census, primes_up_to, primorial
 
 __all__ = [
     "AdmissibleTuple",
@@ -43,7 +43,6 @@ __all__ = [
     "PAPER_LITERAL",
     "PackingCertificate",
     "PackingInstance",
-    "PrimeTable",
     "difference_set",
     "enumerate_admissible_diffsets",
     "geh_assignment",

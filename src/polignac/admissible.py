@@ -69,7 +69,7 @@ def is_admissible(pattern: AdmissibleTuple) -> bool:
 
     Only primes p <= k need checking: k residues cannot cover p > k classes.
     """
-    for p in primes_up_to(pattern.k).primes:
+    for p in primes_up_to(pattern.k):
         if len({h % p for h in pattern.offsets}) == p:
             return False
     return True

@@ -26,11 +26,18 @@ class UsageError(ValueError):
     pass
 
 
+class _HelpRequested(Exception):
+    """Raised by -h/--help with the help text, in place of printing it and exiting."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that raises instead of calling sys.exit."""
+    """argparse parser that raises instead of printing help or calling sys.exit."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+    def print_help(self, file=None) -> None:  # type: ignore[override]
+        raise _HelpRequested(self.format_help())
 
 
 @dataclass(frozen=True)
@@ -196,6 +203,8 @@ def _render_text(payload: dict) -> str:
             for member in value:
                 joined = ",".join(str(v) for v in member["values"])
                 lines.append(f"  {member['label']}: {{{joined}}} span={member['span']}")
+        elif key == "help":
+            lines.append(value.rstrip("\n"))
         elif key == "counts":
             for d, c in value.items():
                 lines.append(f"d={d}: {c}")
@@ -230,6 +239,8 @@ def run_command(argv: list[str]) -> CommandResult:
     try:
         args = parser.parse_args(argv)
         payload = _dispatch(args)
+    except _HelpRequested as exc:
+        return CommandResult(command, {"help": str(exc)}, EXIT_OK)
     except ValueError as exc:  # UsageError included
         return CommandResult(command, {"error": str(exc)}, EXIT_USAGE)
     except packing.InvariantViolation as exc:

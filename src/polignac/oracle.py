@@ -1,23 +1,21 @@
 """Exact ground truth at desk scale: enumerate all size-3 admissible
 difference sets in [1, x] and find a maximum disjoint subfamily.
 
-The optimum count comes from an exact integer program (HiGHS via scipy);
-the returned certificate is the lexicographically first optimal family in
-canonical candidate order, extracted by committing each candidate whose
-inclusion provably still completes to an optimal packing.
+Counts come from checked 0/1 integer programs (HiGHS via scipy) over one
+incidence matrix. The certificate is the lexicographically first optimum in
+canonical order: a candidate is committed iff some optimum agreeing with
+every earlier decision contains it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .admissible import AdmissibleTuple, DiffSet, is_admissible
-from .packing import InvariantViolation, PackingCertificate, first_fit
+from .packing import InvariantViolation, PackingCertificate
 
 DEFAULT_SEARCH_CAP = 5000
 
@@ -39,7 +37,8 @@ def enumerate_admissible_diffsets(k: int, x: int) -> PackingInstance:
     """All distinct difference sets of admissible size-3 patterns with span <= x.
 
     A pattern {0, a, a+b} yields the set {a, b, a+b}, which collapses to two
-    elements when a = b. Only k = 3 is supported; larger sizes blow up.
+    elements when a = b. Only k = 3 is supported; larger sizes blow up, and
+    InstanceTooLarge is raised as soon as DEFAULT_SEARCH_CAP sets are exceeded.
     """
     if k != 3:
         raise ValueError(f"only k = 3 enumeration is supported, got k={k}")
@@ -50,64 +49,63 @@ def enumerate_admissible_diffsets(k: int, x: int) -> PackingInstance:
         for b in range(2, x - a + 1, 2):
             if is_admissible(AdmissibleTuple((0, a, a + b))):
                 seen.add(frozenset({a, b, a + b}))
+                if len(seen) > DEFAULT_SEARCH_CAP:
+                    raise InstanceTooLarge(f"x={x} has over {DEFAULT_SEARCH_CAP} candidates")
     ordered = sorted(seen, key=lambda s: (max(s), sorted(s)))
     return PackingInstance(x, tuple(DiffSet(s) for s in ordered))
 
 
-def _optimal_count(candidates: Sequence[DiffSet]) -> int:
-    """Size of a maximum disjoint subfamily, by exact 0/1 integer programming."""
-    n = len(candidates)
-    if n == 0:
-        return 0
-    values = sorted({v for ds in candidates for v in ds.values})
-    row = {v: i for i, v in enumerate(values)}
-    incidence = np.zeros((len(values), n))
-    for j, ds in enumerate(candidates):
-        for v in ds.values:
-            incidence[row[v], j] = 1.0
+def _solve(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> set[int]:
+    """Columns of a maximum disjoint family within the bounds; the solver vector is checked."""
     result = milp(
-        c=-np.ones(n),
+        c=-np.ones(incidence.shape[1]),
         constraints=LinearConstraint(incidence, 0, 1),
-        integrality=np.ones(n),
-        bounds=Bounds(0, 1),
+        integrality=1,
+        bounds=Bounds(lower, upper),
     )
     if not result.success:
         raise InvariantViolation(f"integer program failed: {result.message}")
-    return round(-result.fun)
+    chosen = np.round(result.x)
+    # 1e-6 is HiGHS's default integrality (MIP feasibility) tolerance.
+    in_bounds = np.all((lower <= chosen) & (chosen <= upper))
+    if np.abs(result.x - chosen).max() > 1e-6 or not in_bounds or (incidence @ chosen).max() > 1:
+        raise InvariantViolation("solver vector is not a disjoint 0/1 family in bounds")
+    return set(np.flatnonzero(chosen).tolist())
 
 
-def max_disjoint_packing(
-    instance: PackingInstance, *, search_cap: int = DEFAULT_SEARCH_CAP
-) -> PackingCertificate:
+def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     """Maximum-cardinality disjoint subfamily of the instance's candidates.
 
-    Among all optima, returns the lexicographically first in canonical
-    order: candidates are scanned in order and committed whenever a
-    feasibility check proves the optimum is still reachable with them in.
+    Among all optima, returns the lexicographically first in canonical order.
+    A fitting candidate in the witness (an optimum agreeing with every decision
+    so far) is committed with no solve; any other is forced in for one solve
+    and committed iff the optimum holds, that solution becoming the witness.
     """
     cands = instance.candidates
     n = len(cands)
-    if n > search_cap:
-        raise InstanceTooLarge(f"{n} candidates exceed the cap {search_cap}")
-    target = _optimal_count(cands)
-    chosen: list[int] = []
+    values = sorted({v for ds in cands for v in ds.values})
+    incidence = np.array([[v in ds.values for ds in cands] for v in values], dtype=float)
+    lower, upper = np.zeros(n), np.ones(n)  # lower 1: committed; upper 0: rejected
+    witness = _solve(incidence, lower, upper) if n else set()
+    target = len(witness)
     used: set[int] = set()
     for i in range(n):
-        if len(chosen) == target:
+        if lower.sum() == target:
             break
-        values = cands[i].values
-        if not used.isdisjoint(values):
+        if not used.isdisjoint(cands[i].values):
+            upper[i] = 0
             continue
-        taken = used | values
-        rest = [cands[j] for j in range(i + 1, n) if cands[j].values.isdisjoint(taken)]
-        needed = target - len(chosen) - 1
-        # A first-fit subfamily of the needed size is a cheap sufficient proof.
-        fits = islice(first_fit((ds, ds.values) for ds in rest), needed)
-        if len(rest) >= needed and (
-            len(list(fits)) == needed or _optimal_count(rest) >= needed
-        ):
-            chosen.append(i)
-            used = taken
+        lower[i] = 1
+        if i not in witness:
+            found = _solve(incidence, lower, upper)
+            if len(found) > target:
+                raise InvariantViolation("a restricted solve beat the optimum")
+            if len(found) < target:
+                lower[i] = upper[i] = 0
+                continue
+            witness = found
+        used |= cands[i].values
+    chosen = np.flatnonzero(lower).tolist()
     if len(chosen) != target:
         raise InvariantViolation("lexicographic extraction missed the optimum")
     members = tuple((f"#{i}", cands[i]) for i in chosen)

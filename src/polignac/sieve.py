@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 DEFAULT_CENSUS_LIMIT = 10**8
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``limit``, in increasing order."""
-
-    limit: int
-    primes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -24,28 +17,25 @@ class CensusReport:
     counts: dict[int, int]
 
 
-def primes_up_to(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes; empty table for limit < 2."""
+def primes_up_to(limit: int) -> tuple[int, ...]:
+    """Primes up to ``limit`` in increasing order (sieve of Eratosthenes)."""
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     if limit < 2:
-        return PrimeTable(limit, ())
+        return ()
     is_prime = bytearray([1]) * (limit + 1)
     is_prime[0] = is_prime[1] = 0
     for p in range(2, int(limit**0.5) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = bytearray(len(is_prime[p * p :: p]))
-    return PrimeTable(limit, tuple(i for i in range(limit + 1) if is_prime[i]))
+    return tuple(i for i in range(limit + 1) if is_prime[i])
 
 
 def primorial(k: int) -> int:
     """Product of all primes <= k; 1 when there are none (k = 1)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    result = 1
-    for p in primes_up_to(k).primes:
-        result *= p
-    return result
+    return math.prod(primes_up_to(k))
 
 
 def prime_pair_census(x: int, dmax: int, *, limit: int = DEFAULT_CENSUS_LIMIT) -> CensusReport:
@@ -60,9 +50,9 @@ def prime_pair_census(x: int, dmax: int, *, limit: int = DEFAULT_CENSUS_LIMIT) -
         raise ValueError(f"dmax must be a positive even integer, got {dmax}")
     if x > limit:
         raise ValueError(f"x = {x} exceeds the census limit {limit}")
-    table = primes_up_to(x)
-    prime_set = set(table.primes)
+    primes = primes_up_to(x)
+    prime_set = set(primes)
     counts = {}
     for d in range(2, dmax + 1, 2):
-        counts[d] = sum(1 for p in table.primes if p + d in prime_set)
+        counts[d] = sum(1 for p in primes if p + d in prime_set)
     return CensusReport(x, dmax, counts)

@@ -176,7 +176,7 @@ def test_criterion_7_admissibility_equivalence():
 
 
 def naive_all_primes(pattern):
-    for p in primes_up_to(pattern.diameter + 1).primes:
+    for p in primes_up_to(pattern.diameter + 1):
         if len({h % p for h in pattern.offsets}) == p:
             return False
     return True
@@ -185,7 +185,7 @@ def naive_all_primes(pattern):
 def test_criterion_8_census_diagnostic():
     with _Criterion(8, 1.0):
         report = prime_pair_census(1000, 2)
-        primes = primes_up_to(1000).primes
+        primes = primes_up_to(1000)
         naive = sum(
             1 for p in primes for q in primes if p < q and q - p == 2
         )

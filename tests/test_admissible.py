@@ -16,7 +16,7 @@ from polignac.sieve import primes_up_to, primorial
 
 def naive_is_admissible(pattern):
     """Reference check scanning every prime up to diameter + 1."""
-    for p in primes_up_to(pattern.diameter + 1).primes:
+    for p in primes_up_to(pattern.diameter + 1):
         if len({h % p for h in pattern.offsets}) == p:
             return False
     return True

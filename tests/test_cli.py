@@ -1,7 +1,8 @@
 import json
+import time
 
 from polignac import packing
-from polignac.cli import main, render, run_command
+from polignac.cli import _build_parser, main, render, run_command
 
 
 def run_json(argv):
@@ -60,6 +61,13 @@ class TestPack:
         assert payload["count"] == 1
         assert payload["raw_count"] == 6
 
+    def test_exact_refuses_large_x_fast(self):
+        start = time.perf_counter()
+        result = run_command(["pack", "exact", "--x", "4000"])
+        assert result.exit_code == 1
+        assert "5000" in result.payload["error"]
+        assert time.perf_counter() - start < 1.0
+
 
 class TestUpper:
     def test_trivial(self):
@@ -113,6 +121,20 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err != ""
+
+    def test_help_returns_instead_of_exiting(self, capsys):
+        for argv, usage in (
+            (["--help"], _build_parser().format_help()),
+            (["pack", "exact", "-h"], "usage: polignac pack exact "),
+        ):
+            result = run_command(argv)
+            assert result.exit_code == 0
+            assert capsys.readouterr().out == ""
+            assert result.payload["help"].startswith(usage)
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == result.payload["help"]
+            assert out.count("usage:") == 1
 
     def test_format_position_independent(self, capsys):
         assert main(["--format", "json", "bound", "--k", "3"]) == 0

@@ -1,7 +1,12 @@
 from itertools import combinations
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polignac import oracle
 from polignac.admissible import DiffSet
 from polignac.oracle import (
     InstanceTooLarge,
@@ -9,7 +14,14 @@ from polignac.oracle import (
     enumerate_admissible_diffsets,
     max_disjoint_packing,
 )
-from polignac.packing import geh_family, greedy_regular_packing, k3_finite_upper_bound
+from polignac.packing import (
+    InvariantViolation,
+    geh_family,
+    greedy_regular_packing,
+    k3_finite_upper_bound,
+)
+
+X30 = enumerate_admissible_diffsets(3, 30).candidates
 
 
 def naive_max_packing_size(candidates):
@@ -80,9 +92,8 @@ class TestMaxDisjointPacking:
         assert max_disjoint_packing(inst).count == 2
 
     def test_cap_enforced(self):
-        inst = enumerate_admissible_diffsets(3, 30)
         with pytest.raises(InstanceTooLarge):
-            max_disjoint_packing(inst, search_cap=3)
+            enumerate_admissible_diffsets(3, 400)
 
     def test_agrees_with_naive_subset_scan(self):
         for x in (6, 8, 10, 12, 14):
@@ -113,6 +124,35 @@ class TestMaxDisjointPacking:
         chosen = [int(label[1:]) for label, _ in cert.members]
         assert chosen == sorted(chosen)
         assert 0 not in chosen
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sets(st.integers(0, len(X30) - 1), max_size=12))
+    def test_certificate_is_first_optimal_combination(self, picked):
+        cands = tuple(X30[i] for i in sorted(picked))
+        r = naive_max_packing_size(cands)
+        first = next(
+            combo
+            for combo in combinations(range(len(cands)), r)
+            if sum(len(cands[j].values) for j in combo)
+            == len(set().union(*(cands[j].values for j in combo)))
+        )
+        cert = max_disjoint_packing(PackingInstance(30, cands))
+        assert [int(label[1:]) for label, _ in cert.members] == list(first)
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            [0.5, 0.5, 0, 0, 0, 0],  # fractional
+            [1, 1, 0, 0, 0, 0],  # {2,4,6} and {2,6,8} both use 2 and 6
+            [-1, 0, 0, 0, 0, 0],  # integral and disjoint, but below its bound
+        ],
+    )
+    def test_rejects_bad_solver_vector(self, monkeypatch, vector):
+        # The objective value is the true optimum at x=12, so only the vector is wrong.
+        fake = SimpleNamespace(success=True, x=np.array(vector, dtype=float), fun=-1.0)
+        monkeypatch.setattr(oracle, "milp", lambda **kwargs: fake)
+        with pytest.raises(InvariantViolation):
+            max_disjoint_packing(enumerate_admissible_diffsets(3, 12))
 
     def test_dominates_constructions_and_respects_cap(self):
         for x in (12, 24, 36, 48, 60):

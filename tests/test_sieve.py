@@ -12,14 +12,14 @@ def trial_division_primes(limit):
 
 class TestPrimesUpTo:
     def test_small(self):
-        assert primes_up_to(10).primes == (2, 3, 5, 7)
+        assert primes_up_to(10) == (2, 3, 5, 7)
 
     def test_boundary(self):
-        assert primes_up_to(2).primes == (2,)
+        assert primes_up_to(2) == (2,)
 
     def test_empty(self):
-        assert primes_up_to(1).primes == ()
-        assert primes_up_to(0).primes == ()
+        assert primes_up_to(1) == ()
+        assert primes_up_to(0) == ()
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -27,10 +27,10 @@ class TestPrimesUpTo:
 
     @given(st.integers(min_value=0, max_value=10**4))
     def test_agrees_with_trial_division(self, limit):
-        assert list(primes_up_to(limit).primes) == trial_division_primes(limit)
+        assert list(primes_up_to(limit)) == trial_division_primes(limit)
 
     def test_strictly_increasing(self):
-        primes = primes_up_to(10**4).primes
+        primes = primes_up_to(10**4)
         assert all(a < b for a, b in zip(primes, primes[1:]))
 
 
@@ -42,12 +42,12 @@ class TestPrimorial:
 
     def test_primorial_50_matches_sieve_product(self):
         product = 1
-        for p in primes_up_to(50).primes:
+        for p in primes_up_to(50):
             product *= p
         assert primorial(50) == product
 
     def test_recurrence(self):
-        prime_set = set(primes_up_to(100).primes)
+        prime_set = set(primes_up_to(100))
         for k in range(2, 101):
             if k in prime_set:
                 assert primorial(k) == primorial(k - 1) * k
