@@ -33,7 +33,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    floor_k3 = lower_bound_density(3).value
+    floor_k3 = lower_bound_density(3)
     print(f"guaranteed lower bound (k=3): {floor_k3} = {float(floor_k3):.6f}")
     print(f"claimed size-3 rate: 1/6 ~ {1 / 6:.6f}; asymptotic cap: 7/36 ~ {7 / 36:.6f}")
     print()
@@ -44,7 +44,7 @@ def main() -> None:
         literal = geh_family(x, PAPER_LITERAL).density
         extended = geh_family(x, EXTENDED).density
         if x <= args.exact_limit:
-            exact = max_disjoint_packing(enumerate_admissible_diffsets(3, x)).density
+            exact = max_disjoint_packing(enumerate_admissible_diffsets(x)).density
             exact_s = f"{float(exact):.4f}"
         else:
             exact_s = "-"

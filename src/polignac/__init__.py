@@ -17,7 +17,6 @@ from .oracle import (
 from .packing import (
     EXTENDED,
     PAPER_LITERAL,
-    DensityBound,
     InvariantViolation,
     PackingCertificate,
     geh_assignment,
@@ -35,7 +34,6 @@ from .sieve import CensusReport, prime_pair_census, primes_up_to, primorial
 __all__ = [
     "AdmissibleTuple",
     "CensusReport",
-    "DensityBound",
     "DiffSet",
     "EXTENDED",
     "InstanceTooLarge",

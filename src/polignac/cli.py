@@ -20,6 +20,7 @@ from . import admissible, oracle, packing, sieve
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
+FORMATS = ("json", "csv", "text")
 
 
 class UsageError(ValueError):
@@ -42,7 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class CommandResult:
-    command: str
     payload: dict
     exit_code: int
     fmt: str = "text"
@@ -73,126 +73,125 @@ def _certificate_payload(command: str, cert: packing.PackingCertificate) -> dict
     }
 
 
-def _add_format(parser: argparse.ArgumentParser, *, root: bool = False) -> None:
-    # Subparsers use SUPPRESS so a --format given before the subcommand
-    # is not clobbered by the subparser's default.
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv", "text"),
-        default="text" if root else argparse.SUPPRESS,
-    )
+def _density_payload(command: str, k: int, value: Fraction) -> dict:
+    return {
+        "command": command,
+        "k": k,
+        "value": _rational(value),
+        "decimal": _decimal(value),
+    }
+
+
+def _bound(args: argparse.Namespace) -> dict:
+    return _density_payload("bound", args.k, packing.lower_bound_density(args.k))
+
+
+def _check(args: argparse.Namespace) -> dict:
+    pattern = admissible.normalize(args.offsets)
+    return {
+        "command": "check",
+        "offsets": list(pattern.offsets),
+        "admissible": admissible.is_admissible(pattern),
+    }
+
+
+def _diffs(args: argparse.Namespace) -> dict:
+    pattern = admissible.normalize(args.offsets)
+    ds = admissible.difference_set(pattern)
+    return {
+        "command": "diffs",
+        "offsets": list(pattern.offsets),
+        "values": list(ds.sorted_values()),
+        "span": ds.span,
+    }
+
+
+def _pack_regular(args: argparse.Namespace) -> dict:
+    return _certificate_payload("pack regular", packing.greedy_regular_packing(args.k, args.x))
+
+
+def _pack_geh(args: argparse.Namespace) -> dict:
+    return _certificate_payload("pack geh", packing.geh_family(args.x, args.strategy))
+
+
+def _pack_exact(args: argparse.Namespace) -> dict:
+    instance = oracle.enumerate_admissible_diffsets(args.x)
+    return _certificate_payload("pack exact", oracle.max_disjoint_packing(instance))
+
+
+def _upper(args: argparse.Namespace) -> dict:
+    if args.k3_finite:
+        if args.x is None:
+            raise UsageError("upper --k3-finite requires --x")
+        return {
+            "command": "upper",
+            "x": args.x,
+            "count": packing.k3_finite_upper_bound(args.x),
+        }
+    if args.k is None:
+        raise UsageError("upper requires --k or --k3-finite --x")
+    return _density_payload("upper", args.k, packing.trivial_upper_bound_density(args.k))
+
+
+def _census(args: argparse.Namespace) -> dict:
+    report = sieve.prime_pair_census(args.x, args.dmax)
+    return {
+        "command": "census",
+        "x": report.x,
+        "dmax": report.dmax,
+        "counts": {str(d): c for d, c in sorted(report.counts.items())},
+    }
 
 
 def _build_parser() -> _Parser:
+    """Each leaf subparser carries its handler as the ``run`` default."""
     parser = _Parser(prog="polignac", description=__doc__)
-    _add_format(parser, root=True)
+    parser.add_argument("--format", choices=FORMATS, default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="guaranteed packing density lower bound for size k")
     p.add_argument("--k", type=int, required=True)
-    _add_format(p)
+    p.set_defaults(run=_bound)
 
     p = sub.add_parser("check", help="decide admissibility of an offset pattern")
     p.add_argument("offsets", type=int, nargs="+")
-    _add_format(p)
+    p.set_defaults(run=_check)
 
     p = sub.add_parser("diffs", help="difference set of an offset pattern")
     p.add_argument("offsets", type=int, nargs="+")
-    _add_format(p)
+    p.set_defaults(run=_diffs)
 
     p = sub.add_parser("pack", help="construct a disjoint packing certificate")
     pack_sub = p.add_subparsers(dest="pack_command", required=True)
     q = pack_sub.add_parser("regular", help="first-fit greedy over regular sets")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--x", type=int, required=True)
-    _add_format(q)
+    q.set_defaults(run=_pack_regular)
     q = pack_sub.add_parser("geh", help="size-3 construction from multiples of 6")
     q.add_argument("--x", type=int, required=True)
-    q.add_argument(
-        "--strategy", choices=("paper-literal", "extended"), default="extended"
-    )
-    _add_format(q)
+    q.add_argument("--strategy", choices=packing.GEH_STRATEGIES, default=packing.EXTENDED)
+    q.set_defaults(run=_pack_geh)
     q = pack_sub.add_parser("exact", help="exhaustive maximum packing (k = 3)")
     q.add_argument("--x", type=int, required=True)
-    _add_format(q)
+    q.set_defaults(run=_pack_exact)
 
     p = sub.add_parser("upper", help="packing density upper bounds")
     p.add_argument("--k", type=int)
     p.add_argument("--k3-finite", action="store_true", dest="k3_finite")
     p.add_argument("--x", type=int)
-    _add_format(p)
+    p.set_defaults(run=_upper)
 
     p = sub.add_parser("census", help="prime-pair gap census up to x")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
-    _add_format(p)
+    p.set_defaults(run=_census)
 
+    for leaf in (*sub.choices.values(), *pack_sub.choices.values()):
+        if leaf.get_default("run"):
+            # Added last, so it is the last option in every usage line; SUPPRESS
+            # so a --format given before the subcommand is not clobbered.
+            leaf.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> dict:
-    if args.command == "bound":
-        bound = packing.lower_bound_density(args.k)
-        return {
-            "command": "bound",
-            "k": args.k,
-            "value": _rational(bound.value),
-            "decimal": _decimal(bound.value),
-        }
-    if args.command == "check":
-        pattern = admissible.normalize(args.offsets)
-        return {
-            "command": "check",
-            "offsets": list(pattern.offsets),
-            "admissible": admissible.is_admissible(pattern),
-        }
-    if args.command == "diffs":
-        pattern = admissible.normalize(args.offsets)
-        ds = admissible.difference_set(pattern)
-        return {
-            "command": "diffs",
-            "offsets": list(pattern.offsets),
-            "values": list(ds.sorted_values()),
-            "span": ds.span,
-        }
-    if args.command == "pack":
-        if args.pack_command == "regular":
-            cert = packing.greedy_regular_packing(args.k, args.x)
-            return _certificate_payload("pack regular", cert)
-        if args.pack_command == "geh":
-            strategy = args.strategy.replace("-", "_")
-            cert = packing.geh_family(args.x, strategy)
-            return _certificate_payload("pack geh", cert)
-        instance = oracle.enumerate_admissible_diffsets(3, args.x)
-        cert = oracle.max_disjoint_packing(instance)
-        return _certificate_payload("pack exact", cert)
-    if args.command == "upper":
-        if args.k3_finite:
-            if args.x is None:
-                raise UsageError("upper --k3-finite requires --x")
-            return {
-                "command": "upper",
-                "x": args.x,
-                "count": packing.k3_finite_upper_bound(args.x),
-            }
-        if args.k is None:
-            raise UsageError("upper requires --k or --k3-finite --x")
-        bound = packing.trivial_upper_bound_density(args.k)
-        return {
-            "command": "upper",
-            "k": args.k,
-            "value": _rational(bound.value),
-            "decimal": _decimal(bound.value),
-        }
-    if args.command == "census":
-        report = sieve.prime_pair_census(args.x, args.dmax)
-        return {
-            "command": "census",
-            "x": report.x,
-            "dmax": report.dmax,
-            "counts": {str(d): c for d, c in sorted(report.counts.items())},
-        }
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 def _render_text(payload: dict) -> str:
@@ -234,18 +233,17 @@ def _render_csv(payload: dict) -> str:
 
 def run_command(argv: list[str]) -> CommandResult:
     """Parse and execute one invocation; never raises, never exits."""
-    command = " ".join(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _dispatch(args)
+        payload = args.run(args)
     except _HelpRequested as exc:
-        return CommandResult(command, {"help": str(exc)}, EXIT_OK)
+        return CommandResult({"help": str(exc)}, EXIT_OK)
     except ValueError as exc:  # UsageError included
-        return CommandResult(command, {"error": str(exc)}, EXIT_USAGE)
+        return CommandResult({"error": str(exc)}, EXIT_USAGE)
     except packing.InvariantViolation as exc:
-        return CommandResult(command, {"error": str(exc)}, EXIT_INVARIANT)
-    return CommandResult(command, payload, EXIT_OK, args.format)
+        return CommandResult({"error": str(exc)}, EXIT_INVARIANT)
+    return CommandResult(payload, EXIT_OK, args.format)
 
 
 def render(result: CommandResult, fmt: str) -> str:

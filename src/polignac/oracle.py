@@ -33,15 +33,13 @@ class PackingInstance:
     candidates: tuple[DiffSet, ...]
 
 
-def enumerate_admissible_diffsets(k: int, x: int) -> PackingInstance:
+def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     """All distinct difference sets of admissible size-3 patterns with span <= x.
 
     A pattern {0, a, a+b} yields the set {a, b, a+b}, which collapses to two
-    elements when a = b. Only k = 3 is supported; larger sizes blow up, and
-    InstanceTooLarge is raised as soon as DEFAULT_SEARCH_CAP sets are exceeded.
+    elements when a = b. InstanceTooLarge is raised as soon as
+    DEFAULT_SEARCH_CAP sets are exceeded.
     """
-    if k != 3:
-        raise ValueError(f"only k = 3 enumeration is supported, got k={k}")
     if x < 1:
         raise ValueError(f"x must be positive, got {x}")
     seen: set[frozenset[int]] = set()
@@ -62,6 +60,7 @@ def _solve(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> set[i
         constraints=LinearConstraint(incidence, 0, 1),
         integrality=1,
         bounds=Bounds(lower, upper),
+        options={"mip_rel_gap": 0},  # prove optimality exactly, not to HiGHS's default gap
     )
     if not result.success:
         raise InvariantViolation(f"integer program failed: {result.message}")

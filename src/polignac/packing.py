@@ -18,7 +18,7 @@ from typing import TypeVar
 from .admissible import AdmissibleTuple, DiffSet, is_admissible
 from .sieve import primorial
 
-PAPER_LITERAL = "paper_literal"
+PAPER_LITERAL = "paper-literal"
 EXTENDED = "extended"
 GEH_STRATEGIES = (PAPER_LITERAL, EXTENDED)
 
@@ -27,12 +27,6 @@ K = TypeVar("K")
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
-
-
-@dataclass(frozen=True)
-class DensityBound:
-    k: int
-    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -85,24 +79,23 @@ def first_fit(candidates: Iterable[tuple[K, frozenset[int]]]) -> Iterator[tuple[
             yield key, values
 
 
-def lower_bound_density(k: int) -> DensityBound:
+def lower_bound_density(k: int) -> Fraction:
     """Guaranteed packing density 2 / ((k-1)((k-1)(k-2)+2) P(k))."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    value = Fraction(2, (k - 1) * ((k - 1) * (k - 2) + 2) * primorial(k))
-    return DensityBound(k, value)
+    return Fraction(2, (k - 1) * ((k - 1) * (k - 2) + 2) * primorial(k))
 
 
-def trivial_upper_bound_density(k: int) -> DensityBound:
+def trivial_upper_bound_density(k: int) -> Fraction:
     """Cap 1 / (2(k-1)): each difference set needs k-1 distinct even values."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return DensityBound(k, Fraction(1, 2 * (k - 1)))
+    return Fraction(1, 2 * (k - 1))
 
 
-def k3_upper_bound_density() -> DensityBound:
+def k3_upper_bound_density() -> Fraction:
     """Asymptotic cap 7/36 for disjoint size-3 difference set families."""
-    return DensityBound(3, Fraction(7, 36))
+    return Fraction(7, 36)
 
 
 def regular_overlap(k: int, n: int, m: int) -> bool:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_CENSUS_LIMIT = 10**8
+PRIMORIAL_MAX_K = 1000  # P(1000) has 416 digits, far inside int-to-str's 4300-digit limit
 
 
 @dataclass(frozen=True)
@@ -32,24 +33,24 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 
 
 def primorial(k: int) -> int:
-    """Product of all primes <= k; 1 when there are none (k = 1)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """Product of all primes <= k, for 1 <= k <= PRIMORIAL_MAX_K; 1 when k = 1."""
+    if not 1 <= k <= PRIMORIAL_MAX_K:
+        raise ValueError(f"k must be in [1, {PRIMORIAL_MAX_K}], got {k}")
     return math.prod(primes_up_to(k))
 
 
-def prime_pair_census(x: int, dmax: int, *, limit: int = DEFAULT_CENSUS_LIMIT) -> CensusReport:
+def prime_pair_census(x: int, dmax: int) -> CensusReport:
     """Count prime pairs at each even difference d in [2, dmax].
 
     Diagnostic only: counts pairs p < q <= x with q - p = d via sieve
-    membership. ``limit`` caps x to keep the sieve at desk scale.
+    membership. DEFAULT_CENSUS_LIMIT caps x to keep the sieve at desk scale.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if dmax < 2 or dmax % 2 != 0:
         raise ValueError(f"dmax must be a positive even integer, got {dmax}")
-    if x > limit:
-        raise ValueError(f"x = {x} exceeds the census limit {limit}")
+    if x > DEFAULT_CENSUS_LIMIT:
+        raise ValueError(f"x = {x} exceeds the census limit {DEFAULT_CENSUS_LIMIT}")
     primes = primes_up_to(x)
     prime_set = set(primes)
     counts = {}

@@ -47,9 +47,9 @@ class _Criterion:
 
 def test_criterion_1_theorem2_values():
     with _Criterion(1, 1.0):
-        assert lower_bound_density(3).value == Fraction(1, 24)
-        assert lower_bound_density(5).value == Fraction(1, 840)
-        k50 = lower_bound_density(50).value
+        assert lower_bound_density(3) == Fraction(1, 24)
+        assert lower_bound_density(5) == Fraction(1, 840)
+        k50 = lower_bound_density(50)
         assert k50 == Fraction(1, 35462538431226065088930)
         assert k50.denominator == 57673 * primorial(50)
         assert k50 > Fraction(2819, 10**26)
@@ -93,7 +93,7 @@ def test_criterion_3_greedy_counting_bound():
 
 def test_criterion_4_exact_oracle():
     with _Criterion(4, 60.0):
-        inst = enumerate_admissible_diffsets(3, 12)
+        inst = enumerate_admissible_diffsets(12)
         assert {ds.values for ds in inst.candidates} == {
             frozenset({6, 12}),
             frozenset({2, 4, 6}),
@@ -104,7 +104,7 @@ def test_criterion_4_exact_oracle():
         }
         assert max_disjoint_packing(inst).count == 1
         for x in (12, 24, 36, 48, 60):
-            optimum = max_disjoint_packing(enumerate_admissible_diffsets(3, x))
+            optimum = max_disjoint_packing(enumerate_admissible_diffsets(x))
             optimum.validate()
             assert optimum.count <= k3_finite_upper_bound(x)
             assert optimum.count >= greedy_regular_packing(3, x).count

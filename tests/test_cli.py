@@ -5,6 +5,19 @@ from polignac import packing
 from polignac.cli import _build_parser, main, render, run_command
 
 
+# One invocation per leaf command: (command words, arguments).
+LEAVES = (
+    (["bound"], ["--k", "3"]),
+    (["check"], ["0", "2", "6"]),
+    (["diffs"], ["0", "6", "12"]),
+    (["pack", "regular"], ["--k", "3", "--x", "100"]),
+    (["pack", "geh"], ["--x", "20", "--strategy", "paper-literal"]),
+    (["pack", "exact"], ["--x", "12"]),
+    (["upper"], ["--k3-finite", "--x", "36"]),
+    (["census"], ["--x", "20", "--dmax", "6"]),
+)
+
+
 def run_json(argv):
     result = run_command(argv)
     assert result.exit_code == 0, result.payload
@@ -23,6 +36,15 @@ class TestBound:
 
     def test_k2_rejected(self):
         assert run_command(["bound", "--k", "2"]).exit_code == 1
+
+    def test_k_capped_at_1000(self):
+        assert run_json(["bound", "--k", "1000"])["k"] == 1000
+        for argv in (["bound", "--k", "1000000000"], ["pack", "regular", "--k", "1001", "--x", "10"]):
+            start = time.perf_counter()
+            result = run_command(argv)
+            assert result.exit_code == 1
+            assert "1000" in result.payload["error"]
+            assert time.perf_counter() - start < 0.1
 
 
 class TestCheckAndDiffs:
@@ -137,11 +159,22 @@ class TestPlumbing:
             assert out.count("usage:") == 1
 
     def test_format_position_independent(self, capsys):
-        assert main(["--format", "json", "bound", "--k", "3"]) == 0
-        before = capsys.readouterr().out
-        assert main(["bound", "--k", "3", "--format", "json"]) == 0
-        after = capsys.readouterr().out
-        assert before == after
+        for leaf, args in LEAVES:
+            assert main(["--format", "json", *leaf, *args]) == 0
+            before = capsys.readouterr().out
+            assert main([*leaf, *args, "--format", "json"]) == 0
+            after = capsys.readouterr().out
+            assert before == after
+            assert json.loads(before)["command"] == " ".join(leaf)
+
+    def test_every_leaf_usage_ends_options_with_format(self):
+        # argparse lists positionals (check and diffs offsets) after every option.
+        for leaf, _ in LEAVES:
+            text = run_command([*leaf, "-h"]).payload["help"]
+            usage = " ".join(text.split("\n\n")[0].split())
+            assert usage.startswith(f"usage: polignac {' '.join(leaf)} [-h] ")
+            _, found, positionals = usage.partition(" [--format {json,csv,text}]")
+            assert found and "-" not in positionals
 
     def test_invariant_violation_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(packing, "is_admissible", lambda pattern: False)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import milp
 
 from polignac import oracle
 from polignac.admissible import DiffSet
@@ -21,7 +22,7 @@ from polignac.packing import (
     k3_finite_upper_bound,
 )
 
-X30 = enumerate_admissible_diffsets(3, 30).candidates
+X30 = enumerate_admissible_diffsets(30).candidates
 
 
 def naive_max_packing_size(candidates):
@@ -44,14 +45,14 @@ def naive_max_packing_size(candidates):
 
 class TestEnumerate:
     def test_x8(self):
-        inst = enumerate_admissible_diffsets(3, 8)
+        inst = enumerate_admissible_diffsets(8)
         assert {ds.values for ds in inst.candidates} == {
             frozenset({2, 4, 6}),
             frozenset({2, 6, 8}),
         }
 
     def test_x12(self):
-        inst = enumerate_admissible_diffsets(3, 12)
+        inst = enumerate_admissible_diffsets(12)
         assert [ds.sorted_values() for ds in inst.candidates] == [
             (2, 4, 6),
             (2, 6, 8),
@@ -62,14 +63,10 @@ class TestEnumerate:
         ]
 
     def test_empty_below_span_6(self):
-        assert enumerate_admissible_diffsets(3, 5).candidates == ()
-
-    def test_rejects_other_k(self):
-        with pytest.raises(ValueError):
-            enumerate_admissible_diffsets(4, 20)
+        assert enumerate_admissible_diffsets(5).candidates == ()
 
     def test_canonical_order(self):
-        inst = enumerate_admissible_diffsets(3, 30)
+        inst = enumerate_admissible_diffsets(30)
         keys = [(ds.span, ds.sorted_values()) for ds in inst.candidates]
         assert keys == sorted(keys)
         assert len({ds.values for ds in inst.candidates}) == len(inst.candidates)
@@ -77,7 +74,7 @@ class TestEnumerate:
 
 class TestMaxDisjointPacking:
     def test_x12_optimum_is_one(self):
-        cert = max_disjoint_packing(enumerate_admissible_diffsets(3, 12))
+        cert = max_disjoint_packing(enumerate_admissible_diffsets(12))
         assert cert.count == 1
         assert cert.members[0][1].values == {2, 4, 6}
 
@@ -93,24 +90,24 @@ class TestMaxDisjointPacking:
 
     def test_cap_enforced(self):
         with pytest.raises(InstanceTooLarge):
-            enumerate_admissible_diffsets(3, 400)
+            enumerate_admissible_diffsets(400)
 
     def test_agrees_with_naive_subset_scan(self):
         for x in (6, 8, 10, 12, 14):
-            inst = enumerate_admissible_diffsets(3, x)
+            inst = enumerate_admissible_diffsets(x)
             assert len(inst.candidates) <= 12
             cert = max_disjoint_packing(inst)
             cert.validate()
             assert cert.count == naive_max_packing_size(inst.candidates)
 
     def test_agrees_with_naive_on_truncated_instances(self):
-        full = enumerate_admissible_diffsets(3, 24)
+        full = enumerate_admissible_diffsets(24)
         inst = PackingInstance(24, full.candidates[:12])
         cert = max_disjoint_packing(inst)
         assert cert.count == naive_max_packing_size(inst.candidates)
 
     def test_deterministic(self):
-        inst = enumerate_admissible_diffsets(3, 36)
+        inst = enumerate_admissible_diffsets(36)
         first = max_disjoint_packing(inst)
         second = max_disjoint_packing(inst)
         assert first.members == second.members
@@ -118,7 +115,7 @@ class TestMaxDisjointPacking:
     def test_lexicographically_first_optimum(self):
         # At x=24 the span-6 set {2,4,6} is in no optimal packing, so the
         # extraction must skip it.
-        inst = enumerate_admissible_diffsets(3, 24)
+        inst = enumerate_admissible_diffsets(24)
         cert = max_disjoint_packing(inst)
         assert cert.count == 4
         chosen = [int(label[1:]) for label, _ in cert.members]
@@ -152,12 +149,24 @@ class TestMaxDisjointPacking:
         fake = SimpleNamespace(success=True, x=np.array(vector, dtype=float), fun=-1.0)
         monkeypatch.setattr(oracle, "milp", lambda **kwargs: fake)
         with pytest.raises(InvariantViolation):
-            max_disjoint_packing(enumerate_admissible_diffsets(3, 12))
+            max_disjoint_packing(enumerate_admissible_diffsets(12))
+
+    def test_solves_with_zero_relative_gap(self, monkeypatch):
+        gaps = []
+
+        def recording_milp(**kwargs):
+            gaps.append(kwargs.get("options", {}).get("mip_rel_gap"))
+            return milp(**kwargs)
+
+        monkeypatch.setattr(oracle, "milp", recording_milp)
+        assert max_disjoint_packing(enumerate_admissible_diffsets(30)).count == 5
+        assert len(gaps) > 1
+        assert all(gap == 0 for gap in gaps)
 
     def test_dominates_constructions_and_respects_cap(self):
         for x in (12, 24, 36, 48, 60):
-            optimum = max_disjoint_packing(enumerate_admissible_diffsets(3, x)).count
+            optimum = max_disjoint_packing(enumerate_admissible_diffsets(x)).count
             assert optimum <= k3_finite_upper_bound(x)
             assert optimum >= greedy_regular_packing(3, x).count
-            assert optimum >= geh_family(x, "paper_literal").count
+            assert optimum >= geh_family(x, "paper-literal").count
             assert optimum >= geh_family(x, "extended").count

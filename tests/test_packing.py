@@ -26,26 +26,26 @@ from polignac.sieve import primorial
 
 class TestBoundFormulas:
     def test_lower_bound_values(self):
-        assert lower_bound_density(3).value == Fraction(1, 24)
-        assert lower_bound_density(5).value == Fraction(1, 840)
-        assert lower_bound_density(50).value == Fraction(1, 35462538431226065088930)
+        assert lower_bound_density(3) == Fraction(1, 24)
+        assert lower_bound_density(5) == Fraction(1, 840)
+        assert lower_bound_density(50) == Fraction(1, 35462538431226065088930)
 
     def test_lower_bound_k50_structure(self):
-        value = lower_bound_density(50).value
+        value = lower_bound_density(50)
         assert value.denominator == 57673 * primorial(50)
         assert value > Fraction(2819, 10**26)
 
     def test_trivial_upper_values(self):
-        assert trivial_upper_bound_density(3).value == Fraction(1, 4)
-        assert trivial_upper_bound_density(2).value == Fraction(1, 2)
-        assert trivial_upper_bound_density(50).value == Fraction(1, 98)
+        assert trivial_upper_bound_density(3) == Fraction(1, 4)
+        assert trivial_upper_bound_density(2) == Fraction(1, 2)
+        assert trivial_upper_bound_density(50) == Fraction(1, 98)
 
     def test_k3_asymptotic_upper(self):
-        assert k3_upper_bound_density().value == Fraction(7, 36)
+        assert k3_upper_bound_density() == Fraction(7, 36)
 
     def test_lower_below_upper(self):
         for k in range(3, 61):
-            assert lower_bound_density(k).value < trivial_upper_bound_density(k).value
+            assert lower_bound_density(k) < trivial_upper_bound_density(k)
 
     def test_input_errors(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polignac.sieve import prime_pair_census, primes_up_to, primorial
+from polignac import sieve
+from polignac.sieve import PRIMORIAL_MAX_K, prime_pair_census, primes_up_to, primorial
 
 
 def trial_division_primes(limit):
@@ -58,6 +59,12 @@ class TestPrimorial:
         with pytest.raises(ValueError):
             primorial(0)
 
+    def test_rejects_above_max_before_sieving(self, monkeypatch):
+        assert len(str(primorial(PRIMORIAL_MAX_K))) > 400
+        monkeypatch.setattr(sieve, "primes_up_to", lambda limit: pytest.fail("sieved"))
+        with pytest.raises(ValueError, match="1000"):
+            primorial(PRIMORIAL_MAX_K + 1)
+
 
 class TestCensus:
     def test_x10(self):
@@ -77,7 +84,7 @@ class TestCensus:
 
     def test_rejects_over_limit(self):
         with pytest.raises(ValueError):
-            prime_pair_census(1000, 2, limit=100)
+            prime_pair_census(10**8 + 1, 2)
 
     def test_matches_naive_double_loop(self):
         x, dmax = 200, 10
