@@ -16,6 +16,7 @@ from polignac.packing import (
     geh_family,
     greedy_regular_packing,
     k3_finite_upper_bound,
+    k3_upper_bound_density,
     lower_bound_density,
 )
 
@@ -34,8 +35,9 @@ def main() -> None:
     args = parser.parse_args()
 
     floor_k3 = lower_bound_density(3)
+    k3_cap = k3_upper_bound_density()
     print(f"guaranteed lower bound (k=3): {floor_k3} = {float(floor_k3):.6f}")
-    print(f"claimed size-3 rate: 1/6 ~ {1 / 6:.6f}; asymptotic cap: 7/36 ~ {7 / 36:.6f}")
+    print(f"claimed size-3 rate: 1/6 ~ {1 / 6:.6f}; asymptotic cap: {k3_cap} ~ {float(k3_cap):.6f}")
     print()
     header = f"{'x':>6} {'greedy':>12} {'literal':>12} {'extended':>12} {'exact':>12} {'cap':>12}"
     print(header)

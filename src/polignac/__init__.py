@@ -2,7 +2,6 @@
 
 from .admissible import (
     AdmissibleTuple,
-    DiffSet,
     difference_set,
     is_admissible,
     normalize,
@@ -34,7 +33,6 @@ from .sieve import CensusReport, prime_pair_census, primes_up_to, primorial
 __all__ = [
     "AdmissibleTuple",
     "CensusReport",
-    "DiffSet",
     "EXTENDED",
     "InstanceTooLarge",
     "InvariantViolation",

@@ -11,7 +11,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .sieve import primes_up_to, primorial
+from .sieve import PRIMORIAL_MAX_K, primes_up_to, primorial
 
 
 @dataclass(frozen=True)
@@ -41,20 +41,6 @@ class AdmissibleTuple:
         return self.offsets[-1]
 
 
-@dataclass(frozen=True)
-class DiffSet:
-    """Set of positive pairwise differences of an offset pattern."""
-
-    values: frozenset[int]
-
-    @property
-    def span(self) -> int:
-        return max(self.values) if self.values else 0
-
-    def sorted_values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
-
-
 def normalize(raw: Iterable[int]) -> AdmissibleTuple:
     """Sort, deduplicate, and translate so the minimum offset is 0."""
     values = sorted(set(raw))
@@ -75,9 +61,12 @@ def is_admissible(pattern: AdmissibleTuple) -> bool:
     return True
 
 
-def difference_set(pattern: AdmissibleTuple) -> DiffSet:
-    """All positive pairwise differences; empty for a singleton."""
-    return DiffSet(frozenset(b - a for a, b in combinations(pattern.offsets, 2)))
+def difference_set(pattern: AdmissibleTuple) -> frozenset[int]:
+    """All positive pairwise differences; empty for a singleton. Patterns of
+    more than PRIMORIAL_MAX_K offsets are refused before any pair is formed."""
+    if pattern.k > PRIMORIAL_MAX_K:
+        raise ValueError(f"a pattern has at most {PRIMORIAL_MAX_K} offsets, got {pattern.k}")
+    return frozenset(b - a for a, b in combinations(pattern.offsets, 2))
 
 
 def regular_admissible(k: int, n: int) -> AdmissibleTuple:

@@ -67,8 +67,8 @@ def _certificate_payload(command: str, cert: packing.PackingCertificate) -> dict
         "density": _rational(cert.density),
         "decimal": _decimal(cert.density),
         "members": [
-            {"label": label, "values": list(ds.sorted_values()), "span": ds.span}
-            for label, ds in cert.members
+            {"label": label, "values": sorted(values), "span": max(values)}
+            for label, values in cert.members
         ],
     }
 
@@ -101,8 +101,8 @@ def _diffs(args: argparse.Namespace) -> dict:
     return {
         "command": "diffs",
         "offsets": list(pattern.offsets),
-        "values": list(ds.sorted_values()),
-        "span": ds.span,
+        "values": sorted(ds),
+        "span": max(ds, default=0),
     }
 
 
@@ -158,7 +158,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_check)
 
     p = sub.add_parser("diffs", help="difference set of an offset pattern")
-    p.add_argument("offsets", type=int, nargs="+")
+    p.add_argument("offsets", type=int, nargs="+", help=f"at most {sieve.PRIMORIAL_MAX_K} offsets")
     p.set_defaults(run=_diffs)
 
     p = sub.add_parser("pack", help="construct a disjoint packing certificate")
@@ -182,8 +182,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_upper)
 
     p = sub.add_parser("census", help="prime-pair gap census up to x")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--x", type=int, required=True, help=f"at most {sieve.DEFAULT_CENSUS_LIMIT}")
+    p.add_argument("--dmax", type=int, required=True, help=f"even, at most {sieve.CENSUS_MAX_DMAX}")
     p.set_defaults(run=_census)
 
     for leaf in (*sub.choices.values(), *pack_sub.choices.values()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .admissible import AdmissibleTuple, DiffSet, is_admissible
+from .admissible import AdmissibleTuple, is_admissible
 from .packing import InvariantViolation, PackingCertificate
 
 DEFAULT_SEARCH_CAP = 5000
@@ -26,31 +26,33 @@ class InstanceTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class PackingInstance:
-    """Deduplicated candidate difference sets, canonically ordered
+    """Distinct candidate difference sets, canonically ordered
     (by span, then by sorted values)."""
 
     x: int
-    candidates: tuple[DiffSet, ...]
+    candidates: tuple[frozenset[int], ...]
 
 
 def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     """All distinct difference sets of admissible size-3 patterns with span <= x.
 
-    A pattern {0, a, a+b} yields the set {a, b, a+b}, which collapses to two
-    elements when a = b. InstanceTooLarge is raised as soon as
-    DEFAULT_SEARCH_CAP sets are exceeded.
+    A pattern {0, a, c} (even offsets: an odd one covers both classes mod 2)
+    yields {a, c-a, c}, two elements when a = c/2. Its mirror image
+    {0, c-a, c} has the same set and the same admissibility (residues
+    negated, then shifted by c), so looping over c ascending, then even
+    a <= c/2 ascending, yields each set once, already in canonical order.
+    InstanceTooLarge is raised as soon as DEFAULT_SEARCH_CAP sets are exceeded.
     """
     if x < 1:
         raise ValueError(f"x must be positive, got {x}")
-    seen: set[frozenset[int]] = set()
-    for a in range(2, x - 1, 2):
-        for b in range(2, x - a + 1, 2):
-            if is_admissible(AdmissibleTuple((0, a, a + b))):
-                seen.add(frozenset({a, b, a + b}))
-                if len(seen) > DEFAULT_SEARCH_CAP:
+    candidates: list[frozenset[int]] = []
+    for c in range(4, x + 1, 2):
+        for a in range(2, c // 2 + 1, 2):
+            if is_admissible(AdmissibleTuple((0, a, c))):
+                candidates.append(frozenset({a, c - a, c}))
+                if len(candidates) > DEFAULT_SEARCH_CAP:
                     raise InstanceTooLarge(f"x={x} has over {DEFAULT_SEARCH_CAP} candidates")
-    ordered = sorted(seen, key=lambda s: (max(s), sorted(s)))
-    return PackingInstance(x, tuple(DiffSet(s) for s in ordered))
+    return PackingInstance(x, tuple(candidates))
 
 
 def _solve(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> set[int]:
@@ -82,8 +84,8 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     """
     cands = instance.candidates
     n = len(cands)
-    values = sorted({v for ds in cands for v in ds.values})
-    incidence = np.array([[v in ds.values for ds in cands] for v in values], dtype=float)
+    values = sorted({v for ds in cands for v in ds})
+    incidence = np.array([[v in ds for ds in cands] for v in values], dtype=float)
     lower, upper = np.zeros(n), np.ones(n)  # lower 1: committed; upper 0: rejected
     witness = _solve(incidence, lower, upper) if n else set()
     target = len(witness)
@@ -91,7 +93,7 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     for i in range(n):
         if lower.sum() == target:
             break
-        if not used.isdisjoint(cands[i].values):
+        if not used.isdisjoint(cands[i]):
             upper[i] = 0
             continue
         lower[i] = 1
@@ -103,7 +105,7 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
                 lower[i] = upper[i] = 0
                 continue
             witness = found
-        used |= cands[i].values
+        used |= cands[i]
     chosen = np.flatnonzero(lower).tolist()
     if len(chosen) != target:
         raise InvariantViolation("lexicographic extraction missed the optimum")

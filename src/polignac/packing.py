@@ -1,11 +1,12 @@
 """Density bound formulas and constructive packings of difference sets.
 
-Both constructions feed candidate difference sets, in a fixed order, through
-one first-fit kernel (:func:`first_fit`) that keeps each candidate disjoint
-from everything kept before it: the greedy over regular admissible sets of
-size k, and the size-3 family {0, 2n, 2n + a_n} read off a zero-padded
-assignment of the multiples of 6. A finite-interval cap bounds what any
-disjoint family of size-3 difference sets can achieve.
+The greedy over regular admissible sets of size k feeds its candidates, in
+increasing n, through the first-fit kernel :func:`first_fit`, which keeps
+each candidate disjoint from everything kept before it. The size-3 family
+{0, 2n, 2n + a_n}, read off a zero-padded assignment of the multiples of 6,
+is disjoint and inside [1, x] by construction, so it keeps every non-empty
+slot. A finite-interval cap bounds what any disjoint family of size-3
+difference sets can achieve.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TypeVar
 
-from .admissible import AdmissibleTuple, DiffSet, is_admissible
+from .admissible import AdmissibleTuple, is_admissible
 from .sieve import primorial
 
 PAPER_LITERAL = "paper-literal"
@@ -35,13 +36,13 @@ class PackingCertificate:
 
     ``raw_count`` is the number of candidates before any filter, so it is
     at least ``count``. Per construction it counts: the greedy, the indices
-    n <= n_max; geh, the non-empty assignment slots in range, before the
-    span filter; the exact oracle, the enumerated candidates.
+    n <= n_max; geh, the non-empty assignment slots in range, every one of
+    which is kept; the exact oracle, the enumerated candidates.
     """
 
     k: int
     x: int
-    members: tuple[tuple[str, DiffSet], ...]
+    members: tuple[tuple[str, frozenset[int]], ...]
     raw_count: int
 
     @property
@@ -58,13 +59,13 @@ class PackingCertificate:
             raise InvariantViolation("count exceeds raw_count")
         covered: set[int] = set()
         total = 0
-        for label, ds in self.members:
-            if not ds.values:
+        for label, values in self.members:
+            if not values:
                 raise InvariantViolation(f"member {label} is empty")
-            if min(ds.values) < 1 or ds.span > self.x:
+            if min(values) < 1 or max(values) > self.x:
                 raise InvariantViolation(f"member {label} not contained in [1, {self.x}]")
-            covered |= ds.values
-            total += len(ds.values)
+            covered |= values
+            total += len(values)
         if total != len(covered):
             raise InvariantViolation("members are not pairwise disjoint")
 
@@ -126,7 +127,7 @@ def greedy_regular_packing(k: int, x: int) -> PackingCertificate:
     step = primorial(k)
     n_max = x // ((k - 1) * step)
     candidates = ((n, frozenset(i * n * step for i in range(1, k))) for n in range(1, n_max + 1))
-    members = tuple((f"n={n}", DiffSet(values)) for n, values in first_fit(candidates))
+    members = tuple((f"n={n}", values) for n, values in first_fit(candidates))
     return PackingCertificate(k, x, members, raw_count=n_max)
 
 
@@ -162,9 +163,16 @@ def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
     """Size-3 packing from patterns {0, 2n, 2n + a_n} over the non-empty slots.
 
     The literal range stops at n <= floor(x/6); the extended range uses every
-    slot of the assignment. Candidates whose span exceeds x are dropped,
-    admissibility of each survivor is verified, and disjointness is enforced
-    by first-fit filtering in increasing n.
+    slot of the assignment. Admissibility of each pattern is verified. Every
+    non-empty slot is kept, because the family is inside [1, x] and disjoint
+    by construction (3 does not divide n, and a_n falls by 6 per slot while
+    2n rises by 2 or 4, so the tops 2n + a_n strictly decrease in n):
+
+    - span: the largest top is 2 + a_1 = 2 + 6 floor((x-2)/6) <= x;
+    - multiples of 6: the a_n are distinct multiples of 6, while neither 2n
+      nor 2n + a_n is one;
+    - other values: the 2n are distinct, the tops are distinct, and the
+      smallest top 2 n_last + a_{n_last} exceeds every 2n.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -173,21 +181,15 @@ def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
     slots = geh_assignment(x)
     n_max = min(x // 6, len(slots)) if strategy == PAPER_LITERAL else len(slots)
 
-    def candidates() -> Iterator[tuple[int, frozenset[int]]]:
-        for n, a in enumerate(slots[:n_max], start=1):
-            if a == 0:
-                continue
-            top = 2 * n + a
-            if top > x:
-                continue
-            pattern = AdmissibleTuple((0, 2 * n, top))
-            if not is_admissible(pattern):
-                raise InvariantViolation(f"generated pattern {pattern.offsets} is not admissible")
-            yield n, frozenset({2 * n, a, top})
-
-    members = tuple((f"n={n}", DiffSet(values)) for n, values in first_fit(candidates()))
-    # Slot n is empty exactly when 3 | n.
-    return PackingCertificate(3, x, members, raw_count=n_max - n_max // 3)
+    members = []
+    for n, a in enumerate(slots[:n_max], start=1):
+        if a == 0:
+            continue
+        pattern = AdmissibleTuple((0, 2 * n, 2 * n + a))
+        if not is_admissible(pattern):
+            raise InvariantViolation(f"generated pattern {pattern.offsets} is not admissible")
+        members.append((f"n={n}", frozenset({2 * n, a, 2 * n + a})))
+    return PackingCertificate(3, x, tuple(members), raw_count=len(members))
 
 
 def k3_finite_upper_bound(x: int) -> int:

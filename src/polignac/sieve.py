@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_CENSUS_LIMIT = 10**8
+CENSUS_MAX_DMAX = 1000
 PRIMORIAL_MAX_K = 1000  # P(1000) has 416 digits, far inside int-to-str's 4300-digit limit
 
 
@@ -43,12 +44,15 @@ def prime_pair_census(x: int, dmax: int) -> CensusReport:
     """Count prime pairs at each even difference d in [2, dmax].
 
     Diagnostic only: counts pairs p < q <= x with q - p = d via sieve
-    membership. DEFAULT_CENSUS_LIMIT caps x to keep the sieve at desk scale.
+    membership. DEFAULT_CENSUS_LIMIT caps x and CENSUS_MAX_DMAX caps dmax
+    (one scan of the primes per gap), both checked before sieving.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if dmax < 2 or dmax % 2 != 0:
         raise ValueError(f"dmax must be a positive even integer, got {dmax}")
+    if dmax > CENSUS_MAX_DMAX:
+        raise ValueError(f"dmax = {dmax} exceeds the census gap limit {CENSUS_MAX_DMAX}")
     if x > DEFAULT_CENSUS_LIMIT:
         raise ValueError(f"x = {x} exceeds the census limit {DEFAULT_CENSUS_LIMIT}")
     primes = primes_up_to(x)

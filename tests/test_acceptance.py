@@ -60,7 +60,7 @@ def test_criterion_2_overlap_equivalence():
         cases = 0
         for k in (3, 4, 5, 6):
             diff_sets = {
-                n: difference_set(regular_admissible(k, n)).values
+                n: difference_set(regular_admissible(k, n))
                 for n in range(1, 101)
             }
             from polignac.packing import regular_overlap
@@ -77,7 +77,7 @@ def test_criterion_3_greedy_counting_bound():
         for k in (3, 5):
             for x in (10**3, 10**4, 10**5, 10**6):
                 cert = greedy_regular_packing(k, x)
-                member_sets = [ds.values for _, ds in cert.members]
+                member_sets = [ds for _, ds in cert.members]
                 union = set().union(*member_sets) if member_sets else set()
                 assert len(union) == sum(len(s) for s in member_sets)
                 if cert.count <= 1200:
@@ -94,7 +94,7 @@ def test_criterion_3_greedy_counting_bound():
 def test_criterion_4_exact_oracle():
     with _Criterion(4, 60.0):
         inst = enumerate_admissible_diffsets(12)
-        assert {ds.values for ds in inst.candidates} == {
+        assert set(inst.candidates) == {
             frozenset({6, 12}),
             frozenset({2, 4, 6}),
             frozenset({2, 6, 8}),
@@ -119,13 +119,13 @@ def test_criterion_5_finite_upper_bound_anchor():
 def test_criterion_6_geh_construction(capsys):
     with _Criterion(6, 10.0):
         literal = geh_family(20, PAPER_LITERAL)
-        assert [ds.values for _, ds in literal.members] == [
+        assert [ds for _, ds in literal.members] == [
             frozenset({2, 18, 20}),
             frozenset({4, 12, 16}),
         ]
         extended = geh_family(20, EXTENDED)
         assert extended.count == 3
-        assert extended.members[2][1].values == {6, 8, 14}
+        assert extended.members[2][1] == {6, 8, 14}
 
         x = 10**4
         densities = {}
@@ -133,7 +133,7 @@ def test_criterion_6_geh_construction(capsys):
             cert = geh_family(x, strategy)
             cert.validate()
             for _, ds in cert.members:
-                values = ds.sorted_values()
+                values = tuple(sorted(ds))
                 assert all(2 <= v <= x for v in values)
                 assert is_admissible_member(values)
             densities[strategy] = cert.density

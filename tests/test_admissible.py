@@ -81,7 +81,7 @@ class TestIsAdmissible:
                     and len({0, a % 3, (a + b) % 3}) < 3
                 )
                 assert is_admissible(pattern) == expected
-                two_diffs = len(difference_set(pattern).values) == 2
+                two_diffs = len(difference_set(pattern)) == 2
                 assert two_diffs == (a == b)
                 if is_admissible(pattern) and a == b:
                     assert a % 6 == 0
@@ -89,18 +89,14 @@ class TestIsAdmissible:
 
 class TestDifferenceSet:
     def test_examples(self):
-        assert difference_set(AdmissibleTuple((0, 2, 6))).values == {2, 4, 6}
-        assert difference_set(AdmissibleTuple((0, 6, 12))).values == {6, 12}
-        assert difference_set(AdmissibleTuple((0,))).values == frozenset()
+        assert difference_set(AdmissibleTuple((0, 2, 6))) == {2, 4, 6}
+        assert difference_set(AdmissibleTuple((0, 6, 12))) == {6, 12}
+        assert difference_set(AdmissibleTuple((0,))) == frozenset()
 
     def test_definition(self):
         pattern = AdmissibleTuple((0, 4, 10, 18))
         expected = {b - a for a, b in combinations(pattern.offsets, 2)}
-        assert difference_set(pattern).values == expected
-
-    def test_span(self):
-        assert difference_set(AdmissibleTuple((0, 2, 6))).span == 6
-        assert difference_set(AdmissibleTuple((0,))).span == 0
+        assert difference_set(pattern) == expected
 
 
 class TestRegularAdmissible:
@@ -125,5 +121,5 @@ class TestRegularAdmissible:
             for n in (1, 2, 7):
                 step = n * primorial(k)
                 ds = difference_set(regular_admissible(k, n))
-                assert ds.values == {i * step for i in range(1, k)}
-                assert len(ds.values) == k - 1
+                assert ds == {i * step for i in range(1, k)}
+                assert len(ds) == k - 1

@@ -56,9 +56,25 @@ class TestCheckAndDiffs:
         assert run_json(["check", "0", "2", "4"])["admissible"] is False
 
     def test_diffs(self):
-        payload = run_json(["diffs", "0", "6", "12"])
-        assert payload["values"] == [6, 12]
-        assert payload["span"] == 12
+        cases = (
+            (["0", "6", "12"], [6, 12], 12),
+            (["0", "2", "6"], [2, 4, 6], 6),
+            (["0"], [], 0),
+        )
+        for offsets, values, span in cases:
+            payload = run_json(["diffs", *offsets])
+            assert payload["values"] == values
+            assert payload["span"] == span
+
+    def test_diffs_offsets_capped_at_1000(self):
+        offsets = [str(h) for h in range(0, 60000, 2)]
+        assert run_json(["check", *offsets])["admissible"] is False
+        assert len(run_json(["diffs", *offsets[:1000]])["values"]) == 999
+        start = time.perf_counter()
+        result = run_command(["diffs", *offsets])
+        assert result.exit_code == 1
+        assert "1000" in result.payload["error"]
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPack:
@@ -110,6 +126,14 @@ class TestCensus:
 
     def test_bad_dmax(self):
         assert run_command(["census", "--x", "20", "--dmax", "5"]).exit_code == 1
+
+    def test_dmax_capped(self):
+        assert len(run_json(["census", "--x", "1000", "--dmax", "1000"])["counts"]) == 500
+        start = time.perf_counter()
+        result = run_command(["census", "--x", "1000", "--dmax", "1000000000"])
+        assert result.exit_code == 1
+        assert "1000" in result.payload["error"]
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPlumbing:

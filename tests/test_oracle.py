@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import milp
 
 from polignac import oracle
-from polignac.admissible import DiffSet
+from polignac.admissible import AdmissibleTuple, is_admissible
 from polignac.oracle import (
     InstanceTooLarge,
     PackingInstance,
@@ -35,8 +35,8 @@ def naive_max_packing_size(candidates):
             union = set()
             total = 0
             for ds in combo:
-                union |= ds.values
-                total += len(ds.values)
+                union |= ds
+                total += len(ds)
             if len(union) == total:
                 best = max(best, r)
                 break
@@ -46,14 +46,14 @@ def naive_max_packing_size(candidates):
 class TestEnumerate:
     def test_x8(self):
         inst = enumerate_admissible_diffsets(8)
-        assert {ds.values for ds in inst.candidates} == {
+        assert set(inst.candidates) == {
             frozenset({2, 4, 6}),
             frozenset({2, 6, 8}),
         }
 
     def test_x12(self):
         inst = enumerate_admissible_diffsets(12)
-        assert [ds.sorted_values() for ds in inst.candidates] == [
+        assert [tuple(sorted(ds)) for ds in inst.candidates] == [
             (2, 4, 6),
             (2, 6, 8),
             (4, 6, 10),
@@ -65,18 +65,30 @@ class TestEnumerate:
     def test_empty_below_span_6(self):
         assert enumerate_admissible_diffsets(5).candidates == ()
 
+    def test_matches_all_pairs_reference(self):
+        # Every pattern {0, a, a+b} over even a, b, deduplicated, then sorted.
+        for x in range(1, 121):
+            seen = {
+                frozenset({a, b, a + b})
+                for a in range(2, x - 1, 2)
+                for b in range(2, x - a + 1, 2)
+                if is_admissible(AdmissibleTuple((0, a, a + b)))
+            }
+            expected = sorted(seen, key=lambda s: (max(s), sorted(s)))
+            assert list(enumerate_admissible_diffsets(x).candidates) == expected
+
     def test_canonical_order(self):
         inst = enumerate_admissible_diffsets(30)
-        keys = [(ds.span, ds.sorted_values()) for ds in inst.candidates]
+        keys = [(max(ds), tuple(sorted(ds))) for ds in inst.candidates]
         assert keys == sorted(keys)
-        assert len({ds.values for ds in inst.candidates}) == len(inst.candidates)
+        assert len(set(inst.candidates)) == len(inst.candidates)
 
 
 class TestMaxDisjointPacking:
     def test_x12_optimum_is_one(self):
         cert = max_disjoint_packing(enumerate_admissible_diffsets(12))
         assert cert.count == 1
-        assert cert.members[0][1].values == {2, 4, 6}
+        assert cert.members[0][1] == {2, 4, 6}
 
     def test_empty_instance(self):
         cert = max_disjoint_packing(PackingInstance(10, ()))
@@ -84,13 +96,15 @@ class TestMaxDisjointPacking:
 
     def test_disjoint_pair(self):
         inst = PackingInstance(
-            18, (DiffSet(frozenset({2, 4, 6})), DiffSet(frozenset({8, 10, 18})))
+            18, (frozenset({2, 4, 6}), frozenset({8, 10, 18}))
         )
         assert max_disjoint_packing(inst).count == 2
 
     def test_cap_enforced(self):
-        with pytest.raises(InstanceTooLarge):
-            enumerate_admissible_diffsets(400)
+        assert len(enumerate_admissible_diffsets(323).candidates) <= oracle.DEFAULT_SEARCH_CAP
+        for x in (324, 400):
+            with pytest.raises(InstanceTooLarge):
+                enumerate_admissible_diffsets(x)
 
     def test_agrees_with_naive_subset_scan(self):
         for x in (6, 8, 10, 12, 14):
@@ -130,8 +144,8 @@ class TestMaxDisjointPacking:
         first = next(
             combo
             for combo in combinations(range(len(cands)), r)
-            if sum(len(cands[j].values) for j in combo)
-            == len(set().union(*(cands[j].values for j in combo)))
+            if sum(len(cands[j]) for j in combo)
+            == len(set().union(*(cands[j] for j in combo)))
         )
         cert = max_disjoint_packing(PackingInstance(30, cands))
         assert [int(label[1:]) for label, _ in cert.members] == list(first)

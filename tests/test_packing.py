@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polignac.admissible import DiffSet, difference_set, normalize, regular_admissible
+from polignac.admissible import difference_set, normalize, regular_admissible
 from polignac.packing import (
     EXTENDED,
     PAPER_LITERAL,
@@ -67,9 +67,9 @@ class TestRegularOverlap:
     def test_matches_direct_intersection(self):
         for k in range(3, 7):
             for n in range(1, 41):
-                dn = difference_set(regular_admissible(k, n)).values
+                dn = difference_set(regular_admissible(k, n))
                 for m in range(n + 1, 41):
-                    dm = difference_set(regular_admissible(k, m)).values
+                    dm = difference_set(regular_admissible(k, m))
                     assert regular_overlap(k, n, m) == bool(dn & dm)
 
 
@@ -82,7 +82,7 @@ class TestGreedyRegularPacking:
     def test_single_candidate(self):
         cert = greedy_regular_packing(3, 12)
         assert cert.count == 1
-        assert cert.members[0][1].values == {6, 12}
+        assert cert.members[0][1] == {6, 12}
 
     def test_empty(self):
         assert greedy_regular_packing(3, 11).count == 0
@@ -90,7 +90,7 @@ class TestGreedyRegularPacking:
     def test_members_pairwise_disjoint(self):
         cert = greedy_regular_packing(3, 10**4)
         cert.validate()
-        member_sets = [ds.values for _, ds in cert.members]
+        member_sets = [ds for _, ds in cert.members]
         for i, a in enumerate(member_sets):
             for b in member_sets[i + 1 :]:
                 assert a.isdisjoint(b)
@@ -142,12 +142,12 @@ class TestValidate:
         ids=["overlap", "above-x", "below-1", "empty", "count-above-raw"],
     )
     def test_rejects(self, members, raw_count):
-        family = tuple((label, DiffSet(frozenset(v))) for label, v in members)
+        family = tuple((label, frozenset(v)) for label, v in members)
         with pytest.raises(InvariantViolation):
             PackingCertificate(3, 20, family, raw_count).validate()
 
     def test_accepts_disjoint(self):
-        family = (("a", DiffSet(frozenset({2, 4}))), ("b", DiffSet(frozenset({6, 20}))))
+        family = (("a", frozenset({2, 4})), ("b", frozenset({6, 20})))
         PackingCertificate(3, 20, family, 2).validate()
 
 
@@ -173,7 +173,7 @@ class TestGehFamily:
     def test_x20_literal(self):
         cert = geh_family(20, PAPER_LITERAL)
         assert cert.count == 2
-        assert [ds.values for _, ds in cert.members] == [
+        assert [ds for _, ds in cert.members] == [
             frozenset({2, 18, 20}),
             frozenset({4, 12, 16}),
         ]
@@ -181,7 +181,7 @@ class TestGehFamily:
     def test_x20_extended(self):
         cert = geh_family(20, EXTENDED)
         assert cert.count == 3
-        assert cert.members[2][1].values == {6, 8, 14}
+        assert cert.members[2][1] == {6, 8, 14}
 
     def test_empty_small_x(self):
         assert geh_family(7, PAPER_LITERAL).count == 0
@@ -195,6 +195,16 @@ class TestGehFamily:
                 brute = sum(1 for n in range(1, n_max + 1) if n % 3 != 0)
                 assert geh_family(x, strategy).raw_count == brute
 
+    def test_keeps_every_slot(self):
+        # No span or overlap filter is needed: every non-empty slot is a member,
+        # so the extended range uses each multiple of 6 in [6, x-2] once.
+        for x in range(2, 3001):
+            for strategy in (PAPER_LITERAL, EXTENDED):
+                cert = geh_family(x, strategy)
+                assert cert.count == cert.raw_count
+                cert.validate()
+            assert cert.count == (x - 2) // 6
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             geh_family(20, "bogus")
@@ -205,7 +215,7 @@ class TestGehFamily:
         cert = geh_family(x, strategy)
         cert.validate()
         for _, ds in cert.members:
-            values = ds.sorted_values()
+            values = tuple(sorted(ds))
             assert all(2 <= v <= x and v % 2 == 0 for v in values)
             pattern = normalize((0, values[0], values[2]))
             residues = {h % 3 for h in pattern.offsets}
