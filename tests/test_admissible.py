@@ -98,6 +98,10 @@ class TestDifferenceSet:
         expected = {b - a for a, b in combinations(pattern.offsets, 2)}
         assert difference_set(pattern) == expected
 
+    def test_span(self):
+        assert max(difference_set(AdmissibleTuple((0, 2, 6))), default=0) == 6
+        assert max(difference_set(AdmissibleTuple((0,))), default=0) == 0
+
 
 class TestRegularAdmissible:
     def test_examples(self):
