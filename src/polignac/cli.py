@@ -163,12 +163,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pack", help="construct a disjoint packing certificate")
     pack_sub = p.add_subparsers(dest="pack_command", required=True)
+    cap = packing.CONSTRUCTION_MAX_CANDIDATES
     q = pack_sub.add_parser("regular", help="first-fit greedy over regular sets")
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--x", type=int, required=True)
+    q.add_argument("--x", type=int, required=True, help=f"refused when x // ((k-1) P(k)) exceeds {cap}")
     q.set_defaults(run=_pack_regular)
     q = pack_sub.add_parser("geh", help="size-3 construction from multiples of 6")
-    q.add_argument("--x", type=int, required=True)
+    q.add_argument("--x", type=int, required=True, help=f"refused when (x-2) // 6 exceeds {cap}")
     q.add_argument("--strategy", choices=packing.GEH_STRATEGIES, default=packing.EXTENDED)
     q.set_defaults(run=_pack_geh)
     q = pack_sub.add_parser("exact", help="exhaustive maximum packing (k = 3)")
@@ -181,7 +182,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", type=int)
     p.set_defaults(run=_upper)
 
-    p = sub.add_parser("census", help="prime-pair gap census up to x")
+    p = sub.add_parser(
+        "census",
+        help="prime-pair gap census up to x",
+        description="At the caps (x = 1e8, dmax = 1000) a census takes about 5 s and 260 MB"
+        " peak RSS, measured in-process on a 2-vCPU VM.",
+    )
     p.add_argument("--x", type=int, required=True, help=f"at most {sieve.DEFAULT_CENSUS_LIMIT}")
     p.add_argument("--dmax", type=int, required=True, help=f"even, at most {sieve.CENSUS_MAX_DMAX}")
     p.set_defaults(run=_census)

@@ -22,12 +22,23 @@ from .sieve import primorial
 PAPER_LITERAL = "paper-literal"
 EXTENDED = "extended"
 GEH_STRATEGIES = (PAPER_LITERAL, EXTENDED)
+# Most candidates a construction builds; more are refused before any is built.
+# At the limit, `pack geh` (x = 1200007) takes ~3 s and ~400 MB in-process on
+# a 2-vCPU VM, JSON rendering included.
+CONSTRUCTION_MAX_CANDIDATES = 200_000
 
 K = TypeVar("K")
 
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def _check_candidate_count(x: int, count: int) -> None:
+    if count > CONSTRUCTION_MAX_CANDIDATES:
+        raise ValueError(
+            f"x = {x} gives {count} candidates, over the construction limit {CONSTRUCTION_MAX_CANDIDATES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,8 @@ def greedy_regular_packing(k: int, x: int) -> PackingCertificate:
     disjoint from everything kept so far.
 
     Candidates are exactly the n with (k-1) n P(k) <= x, so every kept set
-    lies in [1, x] by construction.
+    lies in [1, x] by construction. More than CONSTRUCTION_MAX_CANDIDATES
+    of them are refused before any is built.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
@@ -126,6 +138,7 @@ def greedy_regular_packing(k: int, x: int) -> PackingCertificate:
         raise ValueError(f"x must be positive, got {x}")
     step = primorial(k)
     n_max = x // ((k - 1) * step)
+    _check_candidate_count(x, n_max)
     candidates = ((n, frozenset(i * n * step for i in range(1, k))) for n in range(1, n_max + 1))
     members = tuple((f"n={n}", values) for n, values in first_fit(candidates))
     return PackingCertificate(k, x, members, raw_count=n_max)
@@ -173,11 +186,15 @@ def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
       nor 2n + a_n is one;
     - other values: the 2n are distinct, the tops are distinct, and the
       smallest top 2 n_last + a_{n_last} exceeds every 2n.
+
+    An x with more than CONSTRUCTION_MAX_CANDIDATES multiples of 6 in
+    [6, x-2] is refused before the assignment is built.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if strategy not in GEH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    _check_candidate_count(x, (x - 2) // 6)
     slots = geh_assignment(x)
     n_max = min(x // 6, len(slots)) if strategy == PAPER_LITERAL else len(slots)
 

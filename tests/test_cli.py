@@ -94,6 +94,24 @@ class TestPack:
     def test_geh_extended_default(self):
         assert run_json(["pack", "geh", "--x", "20"])["count"] == 3
 
+    def test_constructions_refuse_over_candidate_limit_fast(self):
+        for argv in (["pack", "geh", "--x", "10000000000"], ["pack", "regular", "--k", "3", "--x", "10000000000"]):
+            start = time.perf_counter()
+            result = run_command(argv)
+            assert result.exit_code == 1
+            assert str(packing.CONSTRUCTION_MAX_CANDIDATES) in result.payload["error"]
+            assert time.perf_counter() - start < 0.1
+
+    def test_largest_benchmark_constructions_accepted(self):
+        for argv, raw_count in (
+            (["pack", "geh", "--x", "100000"], 16666),
+            (["pack", "regular", "--k", "3", "--x", "1000000"], 83333),
+            (["pack", "regular", "--k", "5", "--x", "10000000"], 83333),
+        ):
+            result = run_command(argv)
+            assert result.exit_code == 0
+            assert result.payload["raw_count"] == raw_count
+
     def test_exact(self):
         payload = run_json(["pack", "exact", "--x", "12"])
         assert payload["count"] == 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polignac import packing
 from polignac.admissible import difference_set, normalize, regular_admissible
 from polignac.packing import (
     EXTENDED,
@@ -208,6 +209,15 @@ class TestGehFamily:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             geh_family(20, "bogus")
+
+    def test_candidate_limit_is_checked_before_building(self, monkeypatch):
+        monkeypatch.setattr(packing, "CONSTRUCTION_MAX_CANDIDATES", 10)
+        assert geh_family(67).raw_count == 10
+        assert greedy_regular_packing(3, 131).raw_count == 10
+        monkeypatch.setattr(packing, "geh_assignment", lambda x: pytest.fail("built"))
+        for build in (lambda: geh_family(68), lambda: greedy_regular_packing(3, 132)):
+            with pytest.raises(ValueError, match="limit 10"):
+                build()
 
     @pytest.mark.parametrize("strategy", [PAPER_LITERAL, EXTENDED])
     def test_members_valid(self, strategy):

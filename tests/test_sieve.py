@@ -3,12 +3,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polignac import sieve
-from polignac.sieve import PRIMORIAL_MAX_K, prime_pair_census, primes_up_to, primorial
+from polignac.sieve import (
+    CENSUS_MAX_DMAX,
+    PRIMORIAL_MAX_K,
+    prime_pair_census,
+    primes_up_to,
+    primorial,
+)
 
 
 def trial_division_primes(limit):
     return [n for n in range(2, limit + 1)
             if all(n % d for d in range(2, int(n**0.5) + 1))]
+
+
+def naive_census(x, dmax):
+    primes = trial_division_primes(x)
+    counts = {d: 0 for d in range(2, dmax + 1, 2)}
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            if q - p in counts:
+                counts[q - p] += 1
+    return counts
 
 
 class TestPrimesUpTo:
@@ -29,6 +45,12 @@ class TestPrimesUpTo:
     @given(st.integers(min_value=0, max_value=10**4))
     def test_agrees_with_trial_division(self, limit):
         assert list(primes_up_to(limit)) == trial_division_primes(limit)
+
+    def test_around_prime_squares(self):
+        # The sieve stops at isqrt(limit); p*p is the first multiple p clears.
+        for p in trial_division_primes(100):
+            for m in (p * p - 1, p * p, p * p + 1):
+                assert list(primes_up_to(m)) == trial_division_primes(m)
 
     def test_strictly_increasing(self):
         primes = primes_up_to(10**4)
@@ -87,14 +109,31 @@ class TestCensus:
             prime_pair_census(10**8 + 1, 2)
 
     def test_matches_naive_double_loop(self):
-        x, dmax = 200, 10
-        primes = trial_division_primes(x)
-        expected = {d: 0 for d in range(2, dmax + 1, 2)}
-        for p in primes:
-            for q in primes:
-                if p < q and q - p in expected:
-                    expected[q - p] += 1
-        assert prime_pair_census(x, dmax).counts == expected
+        assert prime_pair_census(200, 10).counts == naive_census(200, 10)
+
+    @pytest.mark.parametrize(
+        "x, dmax, expected",
+        [
+            (3, 4, {2: 0, 4: 0}),
+            (4, 2, {2: 0}),
+            (5, 2, {2: 1}),
+            (7, 8, {2: 2, 4: 1, 6: 0, 8: 0}),
+            (13, 14, {2: 3, 4: 2, 6: 2, 8: 2, 10: 1, 12: 0, 14: 0}),
+        ],
+    )
+    def test_top_pair_on_x(self, x, dmax, expected):
+        # The largest pair ends exactly at x (or x has no pair at all), and
+        # dmax >= x, so an off-by-one in the odd-only layout or shift shows.
+        assert prime_pair_census(x, dmax).counts == expected == naive_census(x, dmax)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=3000), st.integers(min_value=1, max_value=CENSUS_MAX_DMAX // 2))
+    def test_matches_naive_pair_count(self, x, half_d):
+        assert prime_pair_census(x, 2 * half_d).counts == naive_census(x, 2 * half_d)
+
+    def test_twin_primes_below_ten_million(self):
+        # OEIS A007508: 58980 twin prime pairs below 10^7.
+        assert prime_pair_census(10**7, 2).counts[2] == 58980
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=500), st.integers(min_value=1, max_value=10))
