@@ -1,7 +1,6 @@
 """Disjoint packings of prime-pattern difference sets with exact density bounds."""
 
 from .admissible import (
-    AdmissibleTuple,
     difference_set,
     is_admissible,
     normalize,
@@ -31,7 +30,6 @@ from .packing import (
 from .sieve import CensusReport, prime_pair_census, primes_up_to, primorial
 
 __all__ = [
-    "AdmissibleTuple",
     "CensusReport",
     "EXTENDED",
     "InstanceTooLarge",

@@ -90,7 +90,7 @@ def _check(args: argparse.Namespace) -> dict:
     pattern = admissible.normalize(args.offsets)
     return {
         "command": "check",
-        "offsets": list(pattern.offsets),
+        "offsets": list(pattern),
         "admissible": admissible.is_admissible(pattern),
     }
 
@@ -100,7 +100,7 @@ def _diffs(args: argparse.Namespace) -> dict:
     ds = admissible.difference_set(pattern)
     return {
         "command": "diffs",
-        "offsets": list(pattern.offsets),
+        "offsets": list(pattern),
         "values": sorted(ds),
         "span": max(ds, default=0),
     }
@@ -121,6 +121,8 @@ def _pack_exact(args: argparse.Namespace) -> dict:
 
 def _upper(args: argparse.Namespace) -> dict:
     if args.k3_finite:
+        if args.k is not None:
+            raise UsageError("upper --k3-finite takes --x, not --k")
         if args.x is None:
             raise UsageError("upper --k3-finite requires --x")
         return {
@@ -128,6 +130,8 @@ def _upper(args: argparse.Namespace) -> dict:
             "x": args.x,
             "count": packing.k3_finite_upper_bound(args.x),
         }
+    if args.x is not None:
+        raise UsageError("upper --x requires --k3-finite")
     if args.k is None:
         raise UsageError("upper requires --k or --k3-finite --x")
     return _density_payload("upper", args.k, packing.trivial_upper_bound_density(args.k))
@@ -177,9 +181,9 @@ def _build_parser() -> _Parser:
     q.set_defaults(run=_pack_exact)
 
     p = sub.add_parser("upper", help="packing density upper bounds")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="trivial cap 1/(2(k-1)); not with --k3-finite")
     p.add_argument("--k3-finite", action="store_true", dest="k3_finite")
-    p.add_argument("--x", type=int)
+    p.add_argument("--x", type=int, help="only with --k3-finite")
     p.set_defaults(run=_upper)
 
     p = sub.add_parser(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .admissible import AdmissibleTuple, is_admissible
+from .admissible import is_admissible
 from .packing import InvariantViolation, PackingCertificate
 
 DEFAULT_SEARCH_CAP = 5000
@@ -48,7 +48,7 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     candidates: list[frozenset[int]] = []
     for c in range(4, x + 1, 2):
         for a in range(2, c // 2 + 1, 2):
-            if is_admissible(AdmissibleTuple((0, a, c))):
+            if is_admissible((0, a, c)):
                 candidates.append(frozenset({a, c - a, c}))
                 if len(candidates) > DEFAULT_SEARCH_CAP:
                     raise InstanceTooLarge(f"x={x} has over {DEFAULT_SEARCH_CAP} candidates")

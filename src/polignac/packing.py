@@ -1,7 +1,6 @@
 """Density bound formulas and constructive packings of difference sets.
 
-The greedy over regular admissible sets of size k feeds its candidates, in
-increasing n, through the first-fit kernel :func:`first_fit`, which keeps
+The greedy over regular admissible sets of size k keeps, in increasing n,
 each candidate disjoint from everything kept before it. The size-3 family
 {0, 2n, 2n + a_n}, read off a zero-padded assignment of the multiples of 6,
 is disjoint and inside [1, x] by construction, so it keeps every non-empty
@@ -11,12 +10,10 @@ difference sets can achieve.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TypeVar
 
-from .admissible import AdmissibleTuple, is_admissible
+from .admissible import is_admissible
 from .sieve import primorial
 
 PAPER_LITERAL = "paper-literal"
@@ -26,8 +23,6 @@ GEH_STRATEGIES = (PAPER_LITERAL, EXTENDED)
 # At the limit, `pack geh` (x = 1200007) takes ~3 s and ~400 MB in-process on
 # a 2-vCPU VM, JSON rendering included.
 CONSTRUCTION_MAX_CANDIDATES = 200_000
-
-K = TypeVar("K")
 
 
 class InvariantViolation(RuntimeError):
@@ -81,16 +76,6 @@ class PackingCertificate:
             raise InvariantViolation("members are not pairwise disjoint")
 
 
-def first_fit(candidates: Iterable[tuple[K, frozenset[int]]]) -> Iterator[tuple[K, frozenset[int]]]:
-    """Yield, in input order, each ``(key, values)`` pair whose values are
-    disjoint from the values of every pair yielded before it."""
-    used: set[int] = set()
-    for key, values in candidates:
-        if used.isdisjoint(values):
-            used |= values
-            yield key, values
-
-
 def lower_bound_density(k: int) -> Fraction:
     """Guaranteed packing density 2 / ((k-1)((k-1)(k-2)+2) P(k))."""
     if k < 3:
@@ -139,14 +124,21 @@ def greedy_regular_packing(k: int, x: int) -> PackingCertificate:
     step = primorial(k)
     n_max = x // ((k - 1) * step)
     _check_candidate_count(x, n_max)
-    candidates = ((n, frozenset(i * n * step for i in range(1, k))) for n in range(1, n_max + 1))
-    members = tuple((f"n={n}", values) for n, values in first_fit(candidates))
-    return PackingCertificate(k, x, members, raw_count=n_max)
+    members = []
+    used: set[int] = set()
+    for n in range(1, n_max + 1):
+        values = frozenset(i * n * step for i in range(1, k))
+        if used.isdisjoint(values):
+            used |= values
+            members.append((f"n={n}", values))
+    return PackingCertificate(k, x, tuple(members), raw_count=n_max)
 
 
 def greedy_counting_floor(k: int, x: int) -> int:
     """Guaranteed minimum size of the greedy packing, with unit slack for
     the bounded correction term: floor(2 floor(x/((k-1)P(k))) / ((k-1)(k-2)+2)) - 1."""
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
     n_max = x // ((k - 1) * primorial(k))
     return 2 * n_max // ((k - 1) * (k - 2) + 2) - 1
 
@@ -202,9 +194,9 @@ def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
     for n, a in enumerate(slots[:n_max], start=1):
         if a == 0:
             continue
-        pattern = AdmissibleTuple((0, 2 * n, 2 * n + a))
+        pattern = (0, 2 * n, 2 * n + a)
         if not is_admissible(pattern):
-            raise InvariantViolation(f"generated pattern {pattern.offsets} is not admissible")
+            raise InvariantViolation(f"generated pattern {pattern} is not admissible")
         members.append((f"n={n}", frozenset({2 * n, a, 2 * n + a})))
     return PackingCertificate(3, x, tuple(members), raw_count=len(members))
 

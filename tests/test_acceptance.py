@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from polignac.admissible import (
-    AdmissibleTuple,
     difference_set,
     normalize,
     regular_admissible,
@@ -163,7 +162,7 @@ def test_criterion_7_admissibility_equivalence():
         mismatches = 0
         for a in range(1, 61):
             for c in range(a + 1, 61):
-                pattern = AdmissibleTuple((0, a, c))
+                pattern = (0, a, c)
                 fast = is_admissible(pattern)
                 naive = naive_all_primes(pattern)
                 b = c - a
@@ -176,8 +175,8 @@ def test_criterion_7_admissibility_equivalence():
 
 
 def naive_all_primes(pattern):
-    for p in primes_up_to(pattern.diameter + 1):
-        if len({h % p for h in pattern.offsets}) == p:
+    for p in primes_up_to(pattern[-1] + 1):
+        if len({h % p for h in pattern}) == p:
             return False
     return True
 

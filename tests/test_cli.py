@@ -136,6 +136,15 @@ class TestUpper:
         assert run_command(["upper"]).exit_code == 1
         assert run_command(["upper", "--k3-finite"]).exit_code == 1
 
+    def test_unused_option_refused(self):
+        for argv, error in (
+            (["upper", "--k", "3", "--x", "36"], "upper --x requires --k3-finite"),
+            (["upper", "--x", "36"], "upper --x requires --k3-finite"),
+            (["upper", "--k3-finite", "--k", "3", "--x", "36"], "upper --k3-finite takes --x, not --k"),
+        ):
+            result = run_command(argv)
+            assert (result.exit_code, result.payload["error"]) == (1, error)
+
 
 class TestCensus:
     def test_counts(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import milp
 
 from polignac import oracle
-from polignac.admissible import AdmissibleTuple, is_admissible
+from polignac.admissible import is_admissible
 from polignac.oracle import (
     InstanceTooLarge,
     PackingInstance,
@@ -72,7 +72,7 @@ class TestEnumerate:
                 frozenset({a, b, a + b})
                 for a in range(2, x - 1, 2)
                 for b in range(2, x - a + 1, 2)
-                if is_admissible(AdmissibleTuple((0, a, a + b)))
+                if is_admissible((0, a, a + b))
             }
             expected = sorted(seen, key=lambda s: (max(s), sorted(s)))
             assert list(enumerate_admissible_diffsets(x).candidates) == expected

@@ -11,7 +11,6 @@ from polignac.packing import (
     PAPER_LITERAL,
     InvariantViolation,
     PackingCertificate,
-    first_fit,
     geh_assignment,
     geh_family,
     greedy_counting_floor,
@@ -103,6 +102,31 @@ class TestGreedyRegularPacking:
                 cert.validate()
                 assert cert.count >= greedy_counting_floor(k, x)
 
+    def test_counting_floor_rejects_k_below_3(self):
+        for k in (0, 1, 2):
+            with pytest.raises(ValueError):
+                greedy_counting_floor(k, 10**3)
+
+    def test_matches_naive_reference(self):
+        # Reference: scan the regular difference sets in increasing n and keep
+        # each one disjoint from every set kept before it.
+        for k in range(3, 7):
+            kept = []
+            for n in range(1, 61):
+                ds = difference_set(regular_admissible(k, n))
+                if all(ds.isdisjoint(other) for _, other in kept):
+                    kept.append((f"n={n}", ds))
+                cert = greedy_regular_packing(k, n * (k - 1) * primorial(k))
+                assert (cert.members, cert.raw_count) == (tuple(kept), n)
+
+    def test_every_dropped_index_overlaps_an_earlier_kept_one(self):
+        for k in range(3, 7):
+            n_max = 60
+            cert = greedy_regular_packing(k, n_max * (k - 1) * primorial(k))
+            kept = {int(label.removeprefix("n=")) for label, _ in cert.members}
+            for n in set(range(1, n_max + 1)) - kept:
+                assert any(regular_overlap(k, m, n) for m in kept if m < n)
+
     def test_scaling_invariance(self):
         # Selection depends only on floor(x / ((k-1) P(k))).
         base = [label for label, _ in greedy_regular_packing(3, 100).members]
@@ -112,22 +136,6 @@ class TestGreedyRegularPacking:
     def test_density_is_exact_rational(self):
         cert = greedy_regular_packing(3, 100)
         assert cert.density == Fraction(5, 100)
-
-
-class TestFirstFit:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.frozensets(st.integers(min_value=1, max_value=30), max_size=4), max_size=25))
-    def test_keeps_disjoint_in_order(self, sets):
-        kept = list(first_fit(enumerate(sets)))
-        kept_keys = [i for i, _ in kept]
-        assert kept_keys == sorted(kept_keys)
-        assert all(sets[i] == values for i, values in kept)
-        for a, (_, va) in enumerate(kept):
-            for _, vb in kept[a + 1 :]:
-                assert va.isdisjoint(vb)
-        for i, values in enumerate(sets):
-            if i not in kept_keys:
-                assert any(j < i and not values.isdisjoint(vj) for j, vj in kept)
 
 
 class TestValidate:
@@ -228,7 +236,7 @@ class TestGehFamily:
             values = tuple(sorted(ds))
             assert all(2 <= v <= x and v % 2 == 0 for v in values)
             pattern = normalize((0, values[0], values[2]))
-            residues = {h % 3 for h in pattern.offsets}
+            residues = {h % 3 for h in pattern}
             assert len(residues) <= 2
 
     def test_within_finite_cap(self):
