@@ -176,8 +176,19 @@ def _build_parser() -> _Parser:
     q.add_argument("--x", type=int, required=True, help=f"refused when (x-2) // 6 exceeds {cap}")
     q.add_argument("--strategy", choices=packing.GEH_STRATEGIES, default=packing.EXTENDED)
     q.set_defaults(run=_pack_geh)
-    q = pack_sub.add_parser("exact", help="exhaustive maximum packing (k = 3)")
-    q.add_argument("--x", type=int, required=True)
+    q = pack_sub.add_parser(
+        "exact",
+        help="exhaustive maximum packing (k = 3)",
+        description="Solve time is not monotone in x: x = 100 takes about 2 s, but x = 114 takes"
+        " about 135 s in-process on a 2-vCPU VM, nearly all of it in two integer programs"
+        " (the one proving the optimum, and one the LP relaxation cannot settle).",
+    )
+    q.add_argument(
+        "--x",
+        type=int,
+        required=True,
+        help=f"refused when there are over {oracle.DEFAULT_SEARCH_CAP} candidates, first at x = 324",
+    )
     q.set_defaults(run=_pack_exact)
 
     p = sub.add_parser("upper", help="packing density upper bounds")

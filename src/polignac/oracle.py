@@ -1,10 +1,14 @@
 """Exact ground truth at desk scale: enumerate all size-3 admissible
 difference sets in [1, x] and find a maximum disjoint subfamily.
 
-Counts come from checked 0/1 integer programs (HiGHS via scipy) over one
-incidence matrix. The certificate is the lexicographically first optimum in
+The optimum comes from a checked 0/1 integer program (HiGHS via scipy) over
+one incidence matrix, and must lie between the geh family's size and
+floor(x/6). The certificate is the lexicographically first optimum in
 canonical order: a candidate is committed iff some optimum agreeing with
-every earlier decision contains it.
+every earlier decision contains it. Most candidates forced in are settled by
+the LP relaxation: its duals give an upper bound on the restricted optimum
+that is evaluated in exact integer arithmetic, and an integral LP vector is
+checked like any solver vector. Only the rest need an integer program.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .admissible import is_admissible
-from .packing import InvariantViolation, PackingCertificate
+from .packing import InvariantViolation, PackingCertificate, geh_family
 
 DEFAULT_SEARCH_CAP = 5000
+# Scale at which LP duals are rounded to integers for the exact bound.
+DUAL_SCALE = 2**20
 
 
 class InstanceTooLarge(ValueError):
@@ -55,6 +61,17 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     return PackingInstance(x, tuple(candidates))
 
 
+def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, vector) -> set[int] | None:
+    """Columns of a solver vector, or None unless it is a disjoint 0/1 family within the bounds."""
+    chosen = np.round(vector)
+    # 1e-6 is HiGHS's default integrality (MIP feasibility) tolerance.
+    integral = np.all(np.abs(vector - chosen) <= 1e-6)
+    in_bounds = np.all((lower <= chosen) & (chosen <= upper))
+    if not integral or not in_bounds or (incidence @ chosen).max() > 1:
+        return None
+    return set(np.flatnonzero(chosen).tolist())
+
+
 def _solve(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> set[int]:
     """Columns of a maximum disjoint family within the bounds; the solver vector is checked."""
     result = milp(
@@ -66,12 +83,52 @@ def _solve(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> set[i
     )
     if not result.success:
         raise InvariantViolation(f"integer program failed: {result.message}")
-    chosen = np.round(result.x)
-    # 1e-6 is HiGHS's default integrality (MIP feasibility) tolerance.
-    in_bounds = np.all((lower <= chosen) & (chosen <= upper))
-    if np.abs(result.x - chosen).max() > 1e-6 or not in_bounds or (incidence @ chosen).max() > 1:
+    found = _family(incidence, lower, upper, result.x)
+    if found is None:
         raise InvariantViolation("solver vector is not a disjoint 0/1 family in bounds")
-    return set(np.flatnonzero(chosen).tolist())
+    return found
+
+
+def _dual_bound(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, marginals) -> int:
+    """DUAL_SCALE times an upper bound on the restricted optimum, in exact integers.
+
+    For any y >= 0 over values and any family z in the bounds with
+    incidence @ z <= 1, sum(z) = sum_v y_v (incidence @ z)_v + sum_j r_j z_j
+    <= sum(y) + sum_j max(r_j l_j, r_j u_j), where r_j = 1 - sum_{v in S_j} y_v.
+    So any y gives a valid bound, and the LP duals only make it tight. Here
+    y = -marginals, clipped to [0, 1] and rounded to multiples of
+    1/DUAL_SCALE. Clipping at 1 never loosens the bound, because the columns
+    with lower bound 1 are disjoint; it also keeps every integer below within
+    (rows + 3 * columns) * DUAL_SCALE in size, far inside int64.
+    """
+    y = np.clip(np.nan_to_num(-np.asarray(marginals, dtype=float)), 0, 1)
+    scaled = np.rint(y * DUAL_SCALE).astype(np.int64)
+    reduced = DUAL_SCALE - incidence.T @ scaled
+    lo, hi = lower.astype(np.int64), upper.astype(np.int64)
+    return int(scaled.sum() + np.maximum(reduced * lo, reduced * hi).sum())
+
+
+def _relaxation(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int) -> set[int] | None:
+    """Settle a forced candidate with the LP relaxation, where it can.
+
+    Returns set() when the dual bound proves the restricted optimum is below
+    target, the LP vector's family when it is one of at least target members,
+    and None when the integer program must decide. Nothing the LP returns is
+    trusted: a bad dual can only fail to reject, a bad vector fails the check.
+    """
+    result = linprog(
+        c=-np.ones(incidence.shape[1]),
+        A_ub=incidence,
+        b_ub=np.ones(incidence.shape[0]),
+        bounds=np.column_stack((lower, upper)),
+        method="highs",
+    )
+    if result.status != 0:
+        return None
+    if _dual_bound(incidence, lower, upper, result.ineqlin.marginals) < target * DUAL_SCALE:
+        return set()
+    found = _family(incidence, lower, upper, result.x)
+    return found if found is not None and len(found) >= target else None
 
 
 def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
@@ -79,16 +136,32 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
 
     Among all optima, returns the lexicographically first in canonical order.
     A fitting candidate in the witness (an optimum agreeing with every decision
-    so far) is committed with no solve; any other is forced in for one solve
-    and committed iff the optimum holds, that solution becoming the witness.
+    so far) is committed with no solve; any other is forced in and committed
+    iff the restricted optimum still reaches the target, that solution becoming
+    the witness. The LP relaxation settles that first (see ``_relaxation``);
+    only what it leaves open is solved as an integer program.
+
+    The first solve's optimum is checked against a sandwich of proven bounds:
+    - at least the geh members among the candidates, since geh is disjoint
+      (for an enumerated instance that is max(0, (x-2)//6));
+    - at most x//6. A pattern {0, a, a+b} covers both classes mod 2 unless a
+      and b are even, and all three classes mod 3 if none of a, b, a+b is
+      divisible by 3 (then a = b mod 3, giving residues 0, a, 2a). So every
+      admissible size-3 difference set {a, b, a+b} holds a multiple of 6, and
+      disjoint ones hold distinct multiples of 6 in [1, x].
     """
     cands = instance.candidates
     n = len(cands)
     values = sorted({v for ds in cands for v in ds})
-    incidence = np.array([[v in ds for ds in cands] for v in values], dtype=float)
+    incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
     lower, upper = np.zeros(n), np.ones(n)  # lower 1: committed; upper 0: rejected
-    witness = _solve(incidence, lower, upper) if n else set()
+    witness, floor = set(), 0
+    if n:
+        witness = _solve(incidence, lower, upper)
+        floor = len(set(cands).intersection(ds for _, ds in geh_family(instance.x).members))
     target = len(witness)
+    if not floor <= target <= instance.x // 6:
+        raise InvariantViolation(f"optimum {target} is outside the proven bounds [{floor}, {instance.x // 6}]")
     used: set[int] = set()
     for i in range(n):
         if lower.sum() == target:
@@ -98,7 +171,9 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
             continue
         lower[i] = 1
         if i not in witness:
-            found = _solve(incidence, lower, upper)
+            found = _relaxation(incidence, lower, upper, target)
+            if found is None:
+                found = _solve(incidence, lower, upper)
             if len(found) > target:
                 raise InvariantViolation("a restricted solve beat the optimum")
             if len(found) < target:

@@ -1,7 +1,10 @@
 import json
 import time
+from types import SimpleNamespace
 
-from polignac import packing
+import numpy as np
+
+from polignac import oracle, packing
 from polignac.cli import _build_parser, main, render, run_command
 
 
@@ -123,6 +126,25 @@ class TestPack:
         assert result.exit_code == 1
         assert "5000" in result.payload["error"]
         assert time.perf_counter() - start < 1.0
+
+    def test_exact_help_states_its_bound(self):
+        text = " ".join(run_command(["pack", "exact", "-h"]).payload["help"].split())
+        assert f"over {oracle.DEFAULT_SEARCH_CAP} candidates" in text
+        assert "first at x = 324" in text
+        assert "x = 114 takes" in text
+
+    def test_exact_suboptimal_solver_answer_exits_2(self, capsys, monkeypatch):
+        # One disjoint member is a valid family in bounds, but geh has 7 at x = 48.
+        def one_member(**kwargs):
+            vector = np.zeros(len(kwargs["c"]))
+            vector[0] = 1
+            return SimpleNamespace(success=True, x=vector)
+
+        monkeypatch.setattr(oracle, "milp", one_member)
+        assert main(["pack", "exact", "--x", "48", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "proven bounds" in captured.err
 
 
 class TestUpper:

@@ -3,13 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import milp
+from scipy.optimize import linprog, milp
 
 from polignac import oracle
 from polignac.admissible import is_admissible
 from polignac.oracle import (
+    DUAL_SCALE,
     InstanceTooLarge,
     PackingInstance,
     enumerate_admissible_diffsets,
@@ -173,6 +174,8 @@ class TestMaxDisjointPacking:
             return milp(**kwargs)
 
         monkeypatch.setattr(oracle, "milp", recording_milp)
+        # An LP that never solves sends every forced candidate to the integer program.
+        monkeypatch.setattr(oracle, "linprog", lambda **kwargs: SimpleNamespace(status=4))
         assert max_disjoint_packing(enumerate_admissible_diffsets(30)).count == 5
         assert len(gaps) > 1
         assert all(gap == 0 for gap in gaps)
@@ -184,3 +187,63 @@ class TestMaxDisjointPacking:
             assert optimum >= greedy_regular_packing(3, x).count
             assert optimum >= geh_family(x, "paper-literal").count
             assert optimum >= geh_family(x, "extended").count
+
+    def test_geh_family_is_among_the_candidates(self):
+        # The lower half of the optimum sandwich: max(0, (x-2)//6) <= optimum.
+        for x in range(2, 121):
+            cands = set(enumerate_admissible_diffsets(x).candidates)
+            geh = [ds for _, ds in geh_family(x).members]
+            assert cands.issuperset(geh)
+            assert len(geh) == max(0, (x - 2) // 6)
+
+    def test_optimum_above_multiples_of_6_is_caught(self):
+        # None of these is an admissible difference set, so three disjoint ones beat 12 // 6.
+        inst = PackingInstance(12, (frozenset({2, 4}), frozenset({8, 10}), frozenset({6, 12})))
+        with pytest.raises(InvariantViolation, match="proven bounds"):
+            max_disjoint_packing(inst)
+
+
+class TestRelaxation:
+    """The LP pre-check settles most forced candidates, and its integer bound is sound."""
+
+    def test_lp_settles_most_forced_candidates(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(oracle, "milp", lambda **kwargs: solves.append(1) or milp(**kwargs))
+        assert max_disjoint_packing(enumerate_admissible_diffsets(48)).count == 8
+        assert len(solves) <= 5  # the initial solve plus a few the LP leaves open
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=3), min_size=1, max_size=8),
+        st.data(),
+    )
+    def test_integer_dual_bound_covers_the_optimum(self, sets, data):
+        n = len(sets)
+        values = sorted(set().union(*sets))
+        incidence = np.array([[v in s for s in sets] for v in values], dtype=np.int64)
+        # Lower bound 1 on a disjoint set of columns (committed), upper 0 on some others.
+        kinds = data.draw(st.lists(st.sampled_from("01f"), min_size=n, max_size=n))
+        committed = [j for j in range(n) if kinds[j] == "1"]
+        assume(not any(sets[a] & sets[b] for a, b in combinations(committed, 2)))
+        lower = np.array([float(k == "1") for k in kinds])
+        upper = np.array([float(k != "0") for k in kinds])
+        optimum = max(
+            len(combo)
+            for r in range(n + 1)
+            for combo in combinations(range(n), r)
+            if set(committed) <= set(combo)
+            and all(kinds[j] != "0" for j in combo)
+            and sum(len(sets[j]) for j in combo) == len(set().union(*(sets[j] for j in combo)))
+        )
+        finite = st.floats(-3, 3) | st.sampled_from([0.0, 1.0, 1e300, -1e300])
+        marginals = data.draw(st.none() | st.lists(finite | st.floats(), min_size=len(values), max_size=len(values)))
+        if marginals is None:
+            result = linprog(
+                c=-np.ones(n),
+                A_ub=incidence,
+                b_ub=np.ones(len(values)),
+                bounds=np.column_stack((lower, upper)),
+                method="highs",
+            )
+            marginals = result.ineqlin.marginals
+        assert oracle._dual_bound(incidence, lower, upper, marginals) >= optimum * DUAL_SCALE
