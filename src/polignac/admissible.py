@@ -17,11 +17,15 @@ from .sieve import PRIMORIAL_MAX_K, primes_up_to, primorial
 def normalize(raw: Iterable[int]) -> tuple[int, ...]:
     """Sort, deduplicate, and translate so the minimum offset is 0.
 
-    The result is strictly increasing and starts at 0; empty input is refused.
+    The result is strictly increasing and starts at 0. Empty input, and input
+    of more than PRIMORIAL_MAX_K distinct offsets, is refused before any
+    admissibility or difference work, which grows quadratically in the count.
     """
     values = sorted(set(raw))
     if not values:
         raise ValueError("cannot normalize an empty sequence")
+    if len(values) > PRIMORIAL_MAX_K:
+        raise ValueError(f"a pattern has at most {PRIMORIAL_MAX_K} offsets, got {len(values)}")
     base = values[0]
     return tuple(v - base for v in values)
 
@@ -41,11 +45,7 @@ def is_admissible(offsets: tuple[int, ...]) -> bool:
 
 def difference_set(offsets: tuple[int, ...]) -> frozenset[int]:
     """All positive pairwise differences; empty for a singleton. Like
-    admissibility, the set depends on neither order nor repeated offsets.
-    Patterns of more than PRIMORIAL_MAX_K offsets are refused before any
-    pair is formed."""
-    if len(offsets) > PRIMORIAL_MAX_K:
-        raise ValueError(f"a pattern has at most {PRIMORIAL_MAX_K} offsets, got {len(offsets)}")
+    admissibility, the set depends on neither order nor repeated offsets."""
     return frozenset(b - a for a, b in combinations(sorted(set(offsets)), 2))
 
 

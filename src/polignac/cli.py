@@ -23,10 +23,6 @@ EXIT_INVARIANT = 2
 FORMATS = ("json", "csv", "text")
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _HelpRequested(Exception):
     """Raised by -h/--help with the help text, in place of printing it and exiting."""
 
@@ -35,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse parser that raises instead of printing help or calling sys.exit."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise ValueError(message)
 
     def print_help(self, file=None) -> None:  # type: ignore[override]
         raise _HelpRequested(self.format_help())
@@ -122,18 +118,18 @@ def _pack_exact(args: argparse.Namespace) -> dict:
 def _upper(args: argparse.Namespace) -> dict:
     if args.k3_finite:
         if args.k is not None:
-            raise UsageError("upper --k3-finite takes --x, not --k")
+            raise ValueError("upper --k3-finite takes --x, not --k")
         if args.x is None:
-            raise UsageError("upper --k3-finite requires --x")
+            raise ValueError("upper --k3-finite requires --x")
         return {
             "command": "upper",
             "x": args.x,
             "count": packing.k3_finite_upper_bound(args.x),
         }
     if args.x is not None:
-        raise UsageError("upper --x requires --k3-finite")
+        raise ValueError("upper --x requires --k3-finite")
     if args.k is None:
-        raise UsageError("upper requires --k or --k3-finite --x")
+        raise ValueError("upper requires --k or --k3-finite --x")
     return _density_payload("upper", args.k, packing.trivial_upper_bound_density(args.k))
 
 
@@ -158,7 +154,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_bound)
 
     p = sub.add_parser("check", help="decide admissibility of an offset pattern")
-    p.add_argument("offsets", type=int, nargs="+")
+    p.add_argument("offsets", type=int, nargs="+", help=f"at most {sieve.PRIMORIAL_MAX_K} offsets")
     p.set_defaults(run=_check)
 
     p = sub.add_parser("diffs", help="difference set of an offset pattern")
@@ -260,7 +256,7 @@ def run_command(argv: list[str]) -> CommandResult:
         payload = args.run(args)
     except _HelpRequested as exc:
         return CommandResult({"help": str(exc)}, EXIT_OK)
-    except ValueError as exc:  # UsageError included
+    except ValueError as exc:
         return CommandResult({"error": str(exc)}, EXIT_USAGE)
     except packing.InvariantViolation as exc:
         return CommandResult({"error": str(exc)}, EXIT_INVARIANT)

@@ -188,7 +188,7 @@ def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
         raise ValueError(f"unknown strategy {strategy!r}")
     _check_candidate_count(x, (x - 2) // 6)
     slots = geh_assignment(x)
-    n_max = min(x // 6, len(slots)) if strategy == PAPER_LITERAL else len(slots)
+    n_max = x // 6 if strategy == PAPER_LITERAL else len(slots)
 
     members = []
     for n, a in enumerate(slots[:n_max], start=1):

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from polignac import oracle, packing
 from polignac.cli import _build_parser, main, render, run_command
+from polignac.sieve import primes_up_to
 
 
 # One invocation per leaf command: (command words, arguments).
@@ -71,13 +76,26 @@ class TestCheckAndDiffs:
 
     def test_diffs_offsets_capped_at_1000(self):
         offsets = [str(h) for h in range(0, 60000, 2)]
-        assert run_json(["check", *offsets])["admissible"] is False
         assert len(run_json(["diffs", *offsets[:1000]])["values"]) == 999
+        for command in ("check", "diffs"):
+            start = time.perf_counter()
+            result = run_command([command, *offsets])
+            assert result.exit_code == 1
+            assert "1000" in result.payload["error"]
+            assert time.perf_counter() - start < 1.0
+
+    def test_check_bound_at_its_edge(self):
+        # No offset is 0 mod any prime p <= 1001, so every prefix is admissible.
+        offsets = [str(p) for p in primes_up_to(10000) if p > 1001][:1001]
+        assert run_json(["check", *offsets[:1000]])["admissible"] is True
         start = time.perf_counter()
-        result = run_command(["diffs", *offsets])
+        result = run_command(["check", *offsets])
         assert result.exit_code == 1
-        assert "1000" in result.payload["error"]
+        assert result.payload["error"] == "a pattern has at most 1000 offsets, got 1001"
         assert time.perf_counter() - start < 1.0
+
+    def test_check_help_states_its_bound(self):
+        assert "at most 1000 offsets" in run_command(["check", "-h"]).payload["help"]
 
 
 class TestPack:
@@ -256,3 +274,22 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not admissible" in captured.err
+
+
+class TestImports:
+    def imported(self, *modules):
+        """Names in sys.modules of a fresh interpreter after importing ``modules``."""
+        code = f"import sys, {', '.join(modules)}; print(' '.join(sys.modules))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        return set(out.split())
+
+    def test_construction_modules_load_neither_numpy_nor_scipy(self):
+        loaded = self.imported("polignac.sieve", "polignac.admissible", "polignac.packing")
+        assert {"polignac.sieve", "polignac.admissible", "polignac.packing"} <= loaded
+        assert not {"numpy", "scipy", "polignac.oracle"} & loaded
+
+    def test_cli_loads_the_oracle(self):
+        # The benchmark tracer looks the oracle up in sys.modules after importing only the CLI.
+        assert "polignac.oracle" in self.imported("polignac.cli")
