@@ -3,7 +3,8 @@
 
 Prints, for a range of interval sizes x, the greedy regular packing, both
 variants of the size-3 construction, the exact optimum where affordable,
-and the finite upper bound, all as exact rationals with decimal renderings.
+the finite upper bound and the sharp size-3 optimum, all as exact
+rationals with decimal renderings.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from polignac.packing import (
     geh_family,
     greedy_regular_packing,
     k3_finite_upper_bound,
+    k3_sharp_upper_bound,
     k3_upper_bound_density,
     lower_bound_density,
 )
@@ -38,8 +40,9 @@ def main() -> None:
     k3_cap = k3_upper_bound_density()
     print(f"guaranteed lower bound (k=3): {floor_k3} = {float(floor_k3):.6f}")
     print(f"claimed size-3 rate: 1/6 ~ {1 / 6:.6f}; asymptotic cap: {k3_cap} ~ {float(k3_cap):.6f}")
+    print("sharp size-3 cap (k3_sharp_upper_bound, x//6 less a parity defect): tends to 1/6")
     print()
-    header = f"{'x':>6} {'greedy':>12} {'literal':>12} {'extended':>12} {'exact':>12} {'cap':>12}"
+    header = f"{'x':>6} {'greedy':>12} {'literal':>12} {'extended':>12} {'exact':>12} {'cap':>12} {'sharp':>12}"
     print(header)
     for x in args.x:
         greedy = greedy_regular_packing(3, x).density
@@ -51,9 +54,10 @@ def main() -> None:
         else:
             exact_s = "-"
         cap = Fraction(k3_finite_upper_bound(x), x)
+        sharp = Fraction(k3_sharp_upper_bound(x), x)
         print(
             f"{x:>6} {float(greedy):>12.4f} {float(literal):>12.4f} "
-            f"{float(extended):>12.4f} {exact_s:>12} {float(cap):>12.4f}"
+            f"{float(extended):>12.4f} {exact_s:>12} {float(cap):>12.4f} {float(sharp):>12.4f}"
         )
 
 

@@ -1,14 +1,17 @@
 """Exact ground truth at desk scale: enumerate all size-3 admissible
 difference sets in [1, x] and find a maximum disjoint subfamily.
 
-The optimum comes from a checked 0/1 integer program (HiGHS via scipy) over
-one incidence matrix, and must lie between the geh family's size and
-floor(x/6). The certificate is the lexicographically first optimum in
-canonical order: a candidate is committed iff some optimum agreeing with
-every earlier decision contains it. Most candidates forced in are settled by
-the LP relaxation: its duals give an upper bound on the restricted optimum
-that is evaluated in exact integer arithmetic, and an integral LP vector is
-checked like any solver vector. Only the rest need an integer program.
+A closed-form cap on the optimum is proven (``k3_sharp_upper_bound``), and
+outside its "perfect" case the geh family attains it, so the optimum needs
+no solve and geh is the first witness. In the perfect case a checked 0/1
+integer program (HiGHS via scipy) over one incidence matrix finds it,
+between the geh family's size and the closed-form cap. The
+certificate is the lexicographically first optimum in canonical order: a
+candidate is committed iff some optimum agreeing with every earlier decision
+contains it. Most candidates forced in are settled by the LP relaxation: its
+duals give an upper bound on the restricted optimum that is evaluated in
+exact integer arithmetic, and an integral LP vector is checked like any
+solver vector. Only the rest need an integer program.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .admissible import is_admissible
-from .packing import InvariantViolation, PackingCertificate, geh_family
+from .packing import InvariantViolation, PackingCertificate, geh_family, k3_sharp_upper_bound
 
 DEFAULT_SEARCH_CAP = 5000
 # Scale at which LP duals are rounded to integers for the exact bound.
@@ -59,6 +62,17 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
                 if len(candidates) > DEFAULT_SEARCH_CAP:
                     raise InstanceTooLarge(f"x={x} has over {DEFAULT_SEARCH_CAP} candidates")
     return PackingInstance(x, tuple(candidates))
+
+
+def _admissible_k3_diffset(ds: frozenset[int], x: int) -> bool:
+    """Whether ds is the difference set of an admissible size-3 pattern inside [1, x].
+
+    {0, a, c} has difference set {a, c-a, c}, so the one pattern to test is
+    {0, min(ds), max(ds)}; its mirror {0, c-a, c} has the same set and the
+    same admissibility.
+    """
+    a, c = min(ds, default=0), max(ds, default=0)
+    return a >= 1 and c <= x and ds == {a, c - a, c} and is_admissible((0, a, c))
 
 
 def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, vector) -> set[int] | None:
@@ -141,27 +155,37 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     the witness. The LP relaxation settles that first (see ``_relaxation``);
     only what it leaves open is solved as an integer program.
 
-    The first solve's optimum is checked against a sandwich of proven bounds:
+    The optimum lies in a sandwich of proven bounds:
     - at least the geh members among the candidates, since geh is disjoint
       (for an enumerated instance that is max(0, (x-2)//6));
-    - at most x//6. A pattern {0, a, a+b} covers both classes mod 2 unless a
-      and b are even, and all three classes mod 3 if none of a, b, a+b is
-      divisible by 3 (then a = b mod 3, giving residues 0, a, 2a). So every
-      admissible size-3 difference set {a, b, a+b} holds a multiple of 6, and
-      disjoint ones hold distinct multiples of 6 in [1, x].
+    - at most ``k3_sharp_upper_bound(x)`` when every candidate is checked to
+      be a distinct admissible size-3 difference set in [1, x], the
+      instances its proof covers, and x//6 for any other instance.
+    When the two meet, the geh members are the first witness, checked like
+    any solver vector; otherwise an integer program finds the optimum and
+    it is checked against the sandwich.
     """
     cands = instance.candidates
     n = len(cands)
     values = sorted({v for ds in cands for v in ds})
     incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
     lower, upper = np.zeros(n), np.ones(n)  # lower 1: committed; upper 0: rejected
-    witness, floor = set(), 0
+    witness, floor, cap = set(), 0, instance.x // 6
     if n:
-        witness = _solve(incidence, lower, upper)
-        floor = len(set(cands).intersection(ds for _, ds in geh_family(instance.x).members))
+        geh = {ds for _, ds in geh_family(instance.x).members}
+        floor = len(geh.intersection(cands))
+        in_domain = len(set(cands)) == n and all(_admissible_k3_diffset(ds, instance.x) for ds in cands)
+        if in_domain:
+            cap = k3_sharp_upper_bound(instance.x)
+        if in_domain and floor == cap:
+            witness = _family(incidence, lower, upper, np.array([ds in geh for ds in cands], dtype=float))
+            if witness is None:
+                raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
+        else:
+            witness = _solve(incidence, lower, upper)
     target = len(witness)
-    if not floor <= target <= instance.x // 6:
-        raise InvariantViolation(f"optimum {target} is outside the proven bounds [{floor}, {instance.x // 6}]")
+    if not floor <= target <= cap:
+        raise InvariantViolation(f"optimum {target} is outside the proven bounds [{floor}, {cap}]")
     used: set[int] = set()
     for i in range(n):
         if lower.sum() == target:

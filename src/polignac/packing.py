@@ -211,3 +211,29 @@ def k3_finite_upper_bound(x: int) -> int:
         raise ValueError(f"x must be non-negative, got {x}")
     regular = x // 12
     return regular + (x // 2 - 2 * regular) // 3
+
+
+def k3_sharp_upper_bound(x: int) -> int:
+    """Cap on any disjoint family of admissible size-3 difference sets in [1, x]:
+    m - [x mod 6 in {0, 1} and m mod 4 in {2, 3}], where m = floor(x/6).
+
+    An admissible pattern {0, a, c} has a and c even (else it covers both
+    classes mod 2), and one of a, c-a, c divisible by 3 (else a = c-a mod 3
+    and it covers 0, a, 2a mod 3). So every such difference set is even and
+    holds a multiple of 6, and a disjoint family has at most m members.
+
+    Parity: let x mod 6 be 0 or 1 and a family have m members. Each member
+    holds exactly one of the m multiples of 6 in [1, x]. So no member is a
+    two-element set, because {a, 2a} admissible forces 6 | a. The m triples
+    therefore use 3m distinct even values <= x, which are all the even values
+    <= 6m. Halved, they partition {1..3m} into triples a + b = c, so
+    3m(3m+1)/2 = 2 sum(c) is even, which forces m = 0 or 1 (mod 4).
+
+    geh's (x-2)//6 members attain the bound for every x >= 2 except the
+    "perfect" case, x mod 6 in {0, 1} and m mod 4 in {0, 1}, where it has
+    m - 1.
+    """
+    if x < 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    m = x // 6
+    return m - (x % 6 in (0, 1) and m % 4 in (2, 3))

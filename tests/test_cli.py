@@ -249,6 +249,21 @@ class TestPlumbing:
             assert out == result.payload["help"]
             assert out.count("usage:") == 1
 
+    def test_shared_parser_keeps_no_state_between_calls(self):
+        sequence = [
+            ["-h"],
+            ["pack", "geh"],  # usage error: --x is required
+            ["census", "--x", "1000", "--dmax", "10"],
+            ["pack", "geh", "--x", "40", "--format", "csv"],
+            ["--format", "json", "bound", "--k", "3"],
+            ["census", "--x", "100", "--dmax", "4"],
+        ]
+        first = [run_command(argv) for argv in sequence]
+        assert [r.exit_code for r in first] == [0, 1, 0, 0, 0, 0]
+        assert [r.fmt for r in first] == ["text", "text", "text", "csv", "json", "text"]
+        assert [run_command(argv) for argv in sequence] == first
+        assert _build_parser() is _build_parser()
+
     def test_format_position_independent(self, capsys):
         for leaf, args in LEAVES:
             assert main(["--format", "json", *leaf, *args]) == 0

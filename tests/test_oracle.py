@@ -21,6 +21,7 @@ from polignac.packing import (
     geh_family,
     greedy_regular_packing,
     k3_finite_upper_bound,
+    k3_sharp_upper_bound,
 )
 
 X30 = enumerate_admissible_diffsets(30).candidates
@@ -163,6 +164,9 @@ class TestMaxDisjointPacking:
         # The objective value is the true optimum at x=12, so only the vector is wrong.
         fake = SimpleNamespace(success=True, x=np.array(vector, dtype=float), fun=-1.0)
         monkeypatch.setattr(oracle, "milp", lambda **kwargs: fake)
+        # geh is the first witness at x=12, so an LP that never solves is what
+        # sends the forced candidate {2,4,6} to the faked integer program.
+        monkeypatch.setattr(oracle, "linprog", lambda **kwargs: SimpleNamespace(status=4))
         with pytest.raises(InvariantViolation):
             max_disjoint_packing(enumerate_admissible_diffsets(12))
 
@@ -201,6 +205,54 @@ class TestMaxDisjointPacking:
         inst = PackingInstance(12, (frozenset({2, 4}), frozenset({8, 10}), frozenset({6, 12})))
         with pytest.raises(InvariantViolation, match="proven bounds"):
             max_disjoint_packing(inst)
+
+
+class TestSharpBound:
+    """The closed-form optimum, and the geh witness it lets the oracle use."""
+
+    def test_equals_the_integer_program_optimum(self):
+        for x in range(1, 73):
+            cands = enumerate_admissible_diffsets(x).candidates
+            optimum = 0
+            if cands:
+                values = sorted(set().union(*cands))
+                incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
+                optimum = len(oracle._solve(incidence, np.zeros(len(cands)), np.ones(len(cands))))
+            assert k3_sharp_upper_bound(x) == optimum, x
+
+    @pytest.mark.parametrize("x, unrestricted", [(48, 1), (50, 0), (52, 0), (60, 0), (66, 0)])
+    def test_initial_solve_only_in_the_perfect_case(self, monkeypatch, x, unrestricted):
+        # x = 48 (m = 8) is perfect, so geh falls one short and the optimum needs a solve.
+        lower_bounds = []
+
+        def recording_milp(**kwargs):
+            lower_bounds.append(np.copy(kwargs["bounds"].lb))  # the oracle updates its array in place
+            return milp(**kwargs)
+
+        monkeypatch.setattr(oracle, "milp", recording_milp)
+        cert = max_disjoint_packing(enumerate_admissible_diffsets(x))
+        assert cert.count == k3_sharp_upper_bound(x)
+        assert sum(not np.any(lb) for lb in lower_bounds) == unrestricted
+
+    @pytest.mark.parametrize(
+        "x, candidates",
+        [
+            (10, ({2, 6, 8}, {4}, {10})),  # {4} and {10} are no size-3 difference sets
+            (16, ({2, 12, 14}, {4, 6, 10}, {8, 16})),  # {8, 16} is that of (0, 8, 16), not admissible
+        ],
+    )
+    def test_geh_witness_needs_checked_candidates(self, x, candidates):
+        # Each instance holds all of geh(x)'s members, but the closed-form cap is
+        # not proven for it, so the solver's extra member must be caught.
+        inst = PackingInstance(x, tuple(map(frozenset, candidates)))
+        assert {ds for _, ds in geh_family(x).members} < set(inst.candidates)
+        with pytest.raises(InvariantViolation, match="proven bounds"):
+            max_disjoint_packing(inst)
+
+    def test_repeated_geh_member_is_solved(self):
+        # Both copies are in geh(12), so a geh witness would take them together.
+        inst = PackingInstance(12, (frozenset({2, 6, 8}),) * 2)
+        assert [label for label, _ in max_disjoint_packing(inst).members] == ["#0"]
 
 
 class TestRelaxation:
