@@ -140,7 +140,7 @@ def _census(args: argparse.Namespace) -> dict:
         "command": "census",
         "x": report.x,
         "dmax": report.dmax,
-        "counts": {str(d): c for d, c in sorted(report.counts.items())},
+        "counts": {str(d): c for d, c in report.counts.items()},
     }
 
 

@@ -1,17 +1,17 @@
 """Exact ground truth at desk scale: enumerate all size-3 admissible
 difference sets in [1, x] and find a maximum disjoint subfamily.
 
-A closed-form cap on the optimum is proven (``k3_sharp_upper_bound``), and
-outside its "perfect" case the geh family attains it, so the optimum needs
-no solve and geh is the first witness. In the perfect case a checked 0/1
-integer program (HiGHS via scipy) over one incidence matrix finds it,
-between the geh family's size and the closed-form cap. The
-certificate is the lexicographically first optimum in canonical order: a
-candidate is committed iff some optimum agreeing with every earlier decision
-contains it. Most candidates forced in are settled by the LP relaxation: its
-duals give an upper bound on the restricted optimum that is evaluated in
-exact integer arithmetic, and an integral LP vector is checked like any
-solver vector. Only the rest need an integer program.
+Any other instance, or one repeating a set, is refused. A closed-form cap on
+the optimum is proven (``k3_sharp_upper_bound``), and outside its "perfect"
+case the geh family attains it, so the optimum needs no solve and geh is the
+first witness. In the perfect case a checked 0/1 integer program (HiGHS via
+scipy) over one incidence matrix finds it, between the geh family's size and
+the cap. The certificate is the lexicographically first optimum in canonical
+order: a candidate is committed iff some optimum agreeing with every earlier
+decision contains it. Most candidates forced in are settled by the LP
+relaxation: its duals give an upper bound on the restricted optimum that is
+evaluated in exact integer arithmetic, and an integral LP vector is checked
+like any solver vector. Only the rest need an integer program.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ class InstanceTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class PackingInstance:
-    """Distinct candidate difference sets, canonically ordered
-    (by span, then by sorted values)."""
+    """Distinct candidate difference sets in canonical order: by span, then sorted values."""
 
     x: int
     candidates: tuple[frozenset[int], ...]
@@ -46,9 +45,9 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     """All distinct difference sets of admissible size-3 patterns with span <= x.
 
     A pattern {0, a, c} (even offsets: an odd one covers both classes mod 2)
-    yields {a, c-a, c}, two elements when a = c/2. Its mirror image
-    {0, c-a, c} has the same set and the same admissibility (residues
-    negated, then shifted by c), so looping over c ascending, then even
+    yields {a, c-a, c}, two elements when a = c/2, and is admissible iff 3
+    divides a, c-a or c (see ``k3_sharp_upper_bound``). Its mirror image
+    {0, c-a, c} has the same set, so looping over c ascending, then even
     a <= c/2 ascending, yields each set once, already in canonical order.
     InstanceTooLarge is raised as soon as DEFAULT_SEARCH_CAP sets are exceeded.
     """
@@ -57,7 +56,7 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     candidates: list[frozenset[int]] = []
     for c in range(4, x + 1, 2):
         for a in range(2, c // 2 + 1, 2):
-            if is_admissible((0, a, c)):
+            if a * (c - a) * c % 3 == 0:
                 candidates.append(frozenset({a, c - a, c}))
                 if len(candidates) > DEFAULT_SEARCH_CAP:
                     raise InstanceTooLarge(f"x={x} has over {DEFAULT_SEARCH_CAP} candidates")
@@ -65,11 +64,9 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
 
 
 def _admissible_k3_diffset(ds: frozenset[int], x: int) -> bool:
-    """Whether ds is the difference set of an admissible size-3 pattern inside [1, x].
-
-    {0, a, c} has difference set {a, c-a, c}, so the one pattern to test is
-    {0, min(ds), max(ds)}; its mirror {0, c-a, c} has the same set and the
-    same admissibility.
+    """Whether ds is the difference set {a, c-a, c} of an admissible pattern
+    {0, a, c} inside [1, x]. Its mirror {0, c-a, c} has the same set and the
+    same admissibility, so {0, min(ds), max(ds)} is the one pattern to test.
     """
     a, c = min(ds, default=0), max(ds, default=0)
     return a >= 1 and c <= x and ds == {a, c - a, c} and is_admissible((0, a, c))
@@ -155,29 +152,32 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     the witness. The LP relaxation settles that first (see ``_relaxation``);
     only what it leaves open is solved as an integer program.
 
-    The optimum lies in a sandwich of proven bounds:
-    - at least the geh members among the candidates, since geh is disjoint
-      (for an enumerated instance that is max(0, (x-2)//6));
-    - at most ``k3_sharp_upper_bound(x)`` when every candidate is checked to
-      be a distinct admissible size-3 difference set in [1, x], the
-      instances its proof covers, and x//6 for any other instance.
-    When the two meet, the geh members are the first witness, checked like
-    any solver vector; otherwise an integer program finds the optimum and
-    it is checked against the sandwich.
+    Every candidate must be a distinct admissible size-3 difference set in
+    [1, x]; the first that is not is named in an InvariantViolation before
+    any solve. The optimum then lies between two proven bounds: the geh
+    members among the candidates, since geh is disjoint (max(0, (x-2)//6) of
+    them for an enumerated instance), and ``k3_sharp_upper_bound(x)``. When
+    they meet, the geh members are the first witness, checked like any solver
+    vector; otherwise an integer program finds the optimum and it is checked
+    against both bounds.
     """
     cands = instance.candidates
+    seen: set[frozenset[int]] = set()
+    for i, ds in enumerate(cands):
+        if ds in seen or not _admissible_k3_diffset(ds, instance.x):
+            raise InvariantViolation(
+                f"candidate #{i} {sorted(ds)} is not a distinct admissible size-3 difference set in [1, {instance.x}]"
+            )
+        seen.add(ds)
     n = len(cands)
     values = sorted({v for ds in cands for v in ds})
     incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
     lower, upper = np.zeros(n), np.ones(n)  # lower 1: committed; upper 0: rejected
-    witness, floor, cap = set(), 0, instance.x // 6
+    witness, floor, cap = set(), 0, 0
     if n:
         geh = {ds for _, ds in geh_family(instance.x).members}
-        floor = len(geh.intersection(cands))
-        in_domain = len(set(cands)) == n and all(_admissible_k3_diffset(ds, instance.x) for ds in cands)
-        if in_domain:
-            cap = k3_sharp_upper_bound(instance.x)
-        if in_domain and floor == cap:
+        floor, cap = len(geh.intersection(cands)), k3_sharp_upper_bound(instance.x)
+        if floor == cap:
             witness = _family(incidence, lower, upper, np.array([ds in geh for ds in cands], dtype=float))
             if witness is None:
                 raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")

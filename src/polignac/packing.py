@@ -217,10 +217,10 @@ def k3_sharp_upper_bound(x: int) -> int:
     """Cap on any disjoint family of admissible size-3 difference sets in [1, x]:
     m - [x mod 6 in {0, 1} and m mod 4 in {2, 3}], where m = floor(x/6).
 
-    An admissible pattern {0, a, c} has a and c even (else it covers both
-    classes mod 2), and one of a, c-a, c divisible by 3 (else a = c-a mod 3
-    and it covers 0, a, 2a mod 3). So every such difference set is even and
-    holds a multiple of 6, and a disjoint family has at most m members.
+    A pattern {0, a, c} is admissible iff a, c are even and 3 divides a, c-a
+    or c: three offsets miss a class mod p > 3 always, mod 2 iff none is odd,
+    and mod 3 iff two agree. So every such difference set is even and holds
+    a multiple of 6, and a disjoint family has at most m members.
 
     Parity: let x mod 6 be 0 or 1 and a family have m members. Each member
     holds exactly one of the m multiples of 6 in [1, x]. So no member is a

@@ -25,6 +25,20 @@ from polignac.packing import (
 )
 
 X30 = enumerate_admissible_diffsets(30).candidates
+REFUSED = "not a distinct admissible size-3 difference set"
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Names of the oracle's solver and geh calls, recorded by pass-through spies."""
+    calls = []
+
+    def spy(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("milp", "linprog", "geh_family"):
+        monkeypatch.setattr(oracle, name, spy(name, getattr(oracle, name)))
+    return calls
 
 
 def naive_max_packing_size(candidates):
@@ -69,7 +83,7 @@ class TestEnumerate:
 
     def test_matches_all_pairs_reference(self):
         # Every pattern {0, a, a+b} over even a, b, deduplicated, then sorted.
-        for x in range(1, 121):
+        for x in (*range(1, 121), 323):  # 323 is the largest x under the candidate cap
             seen = {
                 frozenset({a, b, a + b})
                 for a in range(2, x - 1, 2)
@@ -200,11 +214,13 @@ class TestMaxDisjointPacking:
             assert cands.issuperset(geh)
             assert len(geh) == max(0, (x - 2) // 6)
 
-    def test_optimum_above_multiples_of_6_is_caught(self):
-        # None of these is an admissible difference set, so three disjoint ones beat 12 // 6.
+    def test_optimum_above_multiples_of_6_is_caught(self, oracle_calls):
+        # Three disjoint sets would beat 12 // 6, but {2, 4} is no admissible
+        # difference set, so the instance is refused before any solve.
         inst = PackingInstance(12, (frozenset({2, 4}), frozenset({8, 10}), frozenset({6, 12})))
-        with pytest.raises(InvariantViolation, match="proven bounds"):
+        with pytest.raises(InvariantViolation, match=rf"candidate #0 \[2, 4\] is {REFUSED} in \[1, 12\]"):
             max_disjoint_packing(inst)
+        assert oracle_calls == []
 
 
 class TestSharpBound:
@@ -239,20 +255,27 @@ class TestSharpBound:
         [
             (10, ({2, 6, 8}, {4}, {10})),  # {4} and {10} are no size-3 difference sets
             (16, ({2, 12, 14}, {4, 6, 10}, {8, 16})),  # {8, 16} is that of (0, 8, 16), not admissible
+            (10, ({2, 6, 8}, set())),  # empty
+            (30, ({2, 4, 6}, {40, 44, 84})),  # admissible, but above x
+            (12, ({2, 4, 6}, {2, 6, 8}, {2, 4, 6})),  # a repeat
         ],
     )
-    def test_geh_witness_needs_checked_candidates(self, x, candidates):
-        # Each instance holds all of geh(x)'s members, but the closed-form cap is
-        # not proven for it, so the solver's extra member must be caught.
+    def test_geh_witness_needs_checked_candidates(self, oracle_calls, x, candidates):
+        # The closed-form cap, and with it the geh witness, is proven only for
+        # distinct admissible size-3 difference sets in [1, x], so any other
+        # instance is refused before geh or a solver runs.
         inst = PackingInstance(x, tuple(map(frozenset, candidates)))
-        assert {ds for _, ds in geh_family(x).members} < set(inst.candidates)
-        with pytest.raises(InvariantViolation, match="proven bounds"):
+        with pytest.raises(InvariantViolation, match=rf"{REFUSED} in \[1, {x}\]"):
             max_disjoint_packing(inst)
+        assert oracle_calls == []
 
-    def test_repeated_geh_member_is_solved(self):
-        # Both copies are in geh(12), so a geh witness would take them together.
+    def test_repeated_geh_member_is_solved(self, oracle_calls):
+        # Both copies are in geh(12), so a geh witness would take them together;
+        # the second copy is refused instead, as PackingInstance asks for distinct sets.
         inst = PackingInstance(12, (frozenset({2, 6, 8}),) * 2)
-        assert [label for label, _ in max_disjoint_packing(inst).members] == ["#0"]
+        with pytest.raises(InvariantViolation, match=rf"candidate #1 \[2, 6, 8\] is {REFUSED}"):
+            max_disjoint_packing(inst)
+        assert oracle_calls == []
 
 
 class TestRelaxation:
