@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 input or usage error, 2 violated internal
 invariant. Rationals are emitted exactly as "p/q" strings; decimal
-renderings are 6 significant digits and advisory only.
+renderings are 6 significant digits and advisory only. JSON output is
+exactly json.dumps(payload, indent=2), with a certificate's members
+rendered from one template each.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ def _certificate_payload(command: str, cert: packing.PackingCertificate) -> dict
         "raw_count": cert.raw_count,
         "density": _rational(cert.density),
         "decimal": _decimal(cert.density),
+        # validate() refused empty members, so a sorted list's last value is its span.
         "members": [
-            {"label": label, "values": sorted(values), "span": max(values)}
+            {"label": label, "values": (ordered := sorted(values)), "span": ordered[-1]}
             for label, values in cert.members
         ],
     }
@@ -220,6 +223,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# One certificate member as json.dumps(..., indent=2) lays it out in "members".
+_MEMBER_JSON = '    {\n      "label": %s,\n      "values": [\n        %s\n      ],\n      "span": %d\n    }'
+
+
+def _render_json(payload: dict) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``.
+
+    With ``indent`` set, the standard library encodes in pure Python, one
+    generator step per token. So a certificate's members, its last key, are
+    filled into ``_MEMBER_JSON`` one string each; all else goes through
+    ``json.dumps``.
+    """
+    members = payload.get("members")
+    if not members or next(reversed(payload)) != "members":
+        return json.dumps(payload, indent=2)
+    head = json.dumps({key: value for key, value in payload.items() if key != "members"}, indent=2)
+    body = ",\n".join(
+        _MEMBER_JSON % (json.dumps(member["label"]), ",\n        ".join(map(str, member["values"])), member["span"])
+        for member in members
+    )
+    return f'{head[:-2]},\n  "members": [\n{body}\n  ]\n}}'
+
+
 def _render_text(payload: dict) -> str:
     lines = []
     for key, value in payload.items():
@@ -274,7 +300,7 @@ def run_command(argv: list[str]) -> CommandResult:
 
 def render(result: CommandResult, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(result.payload, indent=2, sort_keys=False)
+        return _render_json(result.payload)
     if fmt == "csv":
         return _render_csv(result.payload)
     return _render_text(result.payload)

@@ -152,15 +152,17 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     the witness. The LP relaxation settles that first (see ``_relaxation``);
     only what it leaves open is solved as an integer program.
 
-    Every candidate must be a distinct admissible size-3 difference set in
-    [1, x]; the first that is not is named in an InvariantViolation before
-    any solve. The optimum then lies between two proven bounds: the geh
-    members among the candidates, since geh is disjoint (max(0, (x-2)//6) of
-    them for an enumerated instance), and ``k3_sharp_upper_bound(x)``. When
-    they meet, the geh members are the first witness, checked like any solver
-    vector; otherwise an integer program finds the optimum and it is checked
-    against both bounds.
+    x must be positive and every candidate a distinct admissible size-3
+    difference set in [1, x]; otherwise an InvariantViolation, naming the
+    first bad candidate, is raised before any solve. The optimum then lies
+    between two proven bounds: the geh members among the candidates, since
+    geh is disjoint (max(0, (x-2)//6) of them for an enumerated instance),
+    and ``k3_sharp_upper_bound(x)``. When they meet, the geh members are the
+    first witness, checked like any solver vector; otherwise an integer
+    program finds the optimum and it is checked against both bounds.
     """
+    if instance.x < 1:
+        raise InvariantViolation(f"x = {instance.x} is not positive")
     cands = instance.candidates
     seen: set[frozenset[int]] = set()
     for i, ds in enumerate(cands):

@@ -7,6 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from polignac import oracle, packing
 from polignac.cli import _build_parser, main, render, run_command
@@ -289,6 +290,45 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not admissible" in captured.err
+
+
+class TestJsonRendering:
+    """render(..., "json") splices members from a template; its bytes must stay json.dumps(indent=2)'s."""
+
+    def assert_stdlib_bytes(self, argv):
+        result = run_command(argv)
+        rendered, expected = render(result, "json"), json.dumps(result.payload, indent=2)
+        if rendered != expected:  # not a bare assert: pytest would diff megabytes of text
+            at = len(os.path.commonprefix([rendered, expected]))
+            pytest.fail(f"{argv} differs from json.dumps at byte {at}: {rendered[max(at - 40, 0):at + 40]!r}")
+        return result
+
+    def test_geh_at_every_small_x(self):
+        for x in range(201):
+            for strategy in ("extended", "paper-literal"):
+                self.assert_stdlib_bytes(["pack", "geh", "--x", str(x), "--strategy", strategy])
+
+    def test_regular_including_no_members(self):
+        for k in range(3, 7):
+            for x in (1, 100, 1000, 20000):
+                self.assert_stdlib_bytes(["pack", "regular", "--k", str(k), "--x", str(x)])
+        assert self.assert_stdlib_bytes(["pack", "regular", "--k", "6", "--x", "100"]).payload["members"] == []
+
+    def test_exact_at_every_small_x(self):
+        for x in range(41):
+            self.assert_stdlib_bytes(["pack", "exact", "--x", str(x)])
+
+    def test_large_certificate(self):
+        result = self.assert_stdlib_bytes(["pack", "regular", "--k", "3", "--x", "1000000"])
+        assert result.payload["count"] > 50000
+
+    def test_payloads_without_members(self):
+        for leaf, args in LEAVES:
+            if leaf[0] != "pack":
+                self.assert_stdlib_bytes([*leaf, *args])
+        self.assert_stdlib_bytes(["upper", "--k", "3"])
+        assert "help" in self.assert_stdlib_bytes(["--help"]).payload
+        assert "error" in self.assert_stdlib_bytes(["pack", "geh", "--x", "-1"]).payload
 
 
 class TestImports:

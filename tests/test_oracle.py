@@ -269,6 +269,15 @@ class TestSharpBound:
             max_disjoint_packing(inst)
         assert oracle_calls == []
 
+    @pytest.mark.parametrize("x, candidates", [(0, ()), (-5, ()), (-5, ({2, 4, 6},))])
+    def test_non_positive_x_refused_before_any_solve(self, oracle_calls, x, candidates):
+        # Left through, x = 0 gave a certificate whose density divides by zero,
+        # and x < 0 one with a negative interval.
+        inst = PackingInstance(x, tuple(map(frozenset, candidates)))
+        with pytest.raises(InvariantViolation, match=f"x = {x} is not positive"):
+            max_disjoint_packing(inst)
+        assert oracle_calls == []
+
     def test_repeated_geh_member_is_solved(self, oracle_calls):
         # Both copies are in geh(12), so a geh witness would take them together;
         # the second copy is refused instead, as PackingInstance asks for distinct sets.

@@ -159,6 +159,12 @@ class TestValidate:
         family = (("a", frozenset({2, 4})), ("b", frozenset({6, 20})))
         PackingCertificate(3, 20, family, 2).validate()
 
+    @pytest.mark.parametrize("x", [0, -5])
+    def test_rejects_non_positive_x(self, x):
+        # An empty family is otherwise valid, but its density count / x is undefined or negative.
+        with pytest.raises(InvariantViolation, match=f"x = {x} is not positive"):
+            PackingCertificate(3, x, (), 0).validate()
+
 
 class TestGehAssignment:
     def test_x20(self):
