@@ -2,14 +2,15 @@
 
 The greedy over regular admissible sets of size k keeps, in increasing n,
 each candidate disjoint from everything kept before it. The size-3 family
-{0, 2n, 2n + a_n}, read off a zero-padded assignment of the multiples of 6,
-is disjoint and inside [1, x] by construction, so it keeps every non-empty
-slot. A finite-interval cap bounds what any disjoint family of size-3
-difference sets can achieve.
+{0, 2n, 2n + a_n}, over the pairs (n, a_n) that assign the multiples of 6
+to the n not divisible by 3, is disjoint and inside [1, x] by construction,
+so it keeps every pair. A finite-interval cap bounds what any disjoint
+family of size-3 difference sets can achieve.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,8 +43,8 @@ class PackingCertificate:
 
     ``raw_count`` is the number of candidates before any filter, so it is
     at least ``count``. Per construction it counts: the greedy, the indices
-    n <= n_max; geh, the non-empty assignment slots in range, every one of
-    which is kept; the exact oracle, the enumerated candidates.
+    n <= n_max; geh, the assignment pairs in range, every one of which is
+    kept; the exact oracle, the enumerated candidates.
     """
 
     k: int
@@ -145,35 +146,26 @@ def greedy_counting_floor(k: int, x: int) -> int:
     return 2 * n_max // ((k - 1) * (k - 2) + 2) - 1
 
 
-def geh_assignment(x: int) -> tuple[int, ...]:
-    """Zero-padded decreasing assignment of the multiples of 6 in [6, x-2].
+def geh_assignment(x: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (n, a_n): n runs over 1, 2, 4, 5, 7, ... (3 does not divide
+    n) and a_n over the multiples of 6 in [6, x-2], largest first.
 
-    Slot i holds 0 when 3 | i; the remaining slots hold the multiples of 6
-    in strictly decreasing order, pairing slot i with the i-th largest.
+    An x with more than CONSTRUCTION_MAX_CANDIDATES multiples of 6 in
+    [6, x-2] is refused before any pair is built.
     """
-    count = (x - 2) // 6 if x >= 8 else 0
-    if count == 0:
-        return ()
-    # Smallest slot count whose non-multiple-of-3 positions number exactly `count`.
-    slots = 3 * ((count - 1) // 2) + 1 + (count - 1) % 2
-    sequence = []
-    for i in range(1, slots + 1):
-        if i % 3 == 0:
-            sequence.append(0)
-        else:
-            rank = i - i // 3
-            sequence.append(6 * (count - rank + 1))
-    return tuple(sequence)
+    count = (x - 2) // 6
+    _check_candidate_count(x, count)
+    return tuple(zip((n for n in itertools.count(1) if n % 3), range(6 * count, 0, -6)))
 
 
 def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
-    """Size-3 packing from patterns {0, 2n, 2n + a_n} over the non-empty slots.
+    """Size-3 packing from patterns {0, 2n, 2n + a_n} over the assignment pairs.
 
     The literal range stops at n <= floor(x/6); the extended range uses every
-    slot of the assignment. Admissibility of each pattern is verified. Every
-    non-empty slot is kept, because the family is inside [1, x] and disjoint
-    by construction (3 does not divide n, and a_n falls by 6 per slot while
-    2n rises by 2 or 4, so the tops 2n + a_n strictly decrease in n):
+    pair. Admissibility of each pattern is verified. Every pair is kept,
+    because the family is inside [1, x] and disjoint by construction (3 does
+    not divide n, and a_n falls by 6 per pair while 2n rises by 2 or 4, so
+    the tops 2n + a_n strictly decrease in n):
 
     - span: the largest top is 2 + a_1 = 2 + 6 floor((x-2)/6) <= x;
     - multiples of 6: the a_n are distinct multiples of 6, while neither 2n
@@ -181,21 +173,19 @@ def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
     - other values: the 2n are distinct, the tops are distinct, and the
       smallest top 2 n_last + a_{n_last} exceeds every 2n.
 
-    An x with more than CONSTRUCTION_MAX_CANDIDATES multiples of 6 in
-    [6, x-2] is refused before the assignment is built.
+    An x over the construction limit is refused by geh_assignment before
+    any pair is built.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if strategy not in GEH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    _check_candidate_count(x, (x - 2) // 6)
-    slots = geh_assignment(x)
-    n_max = x // 6 if strategy == PAPER_LITERAL else len(slots)
+    literal = strategy == PAPER_LITERAL
 
     members = []
-    for n, a in enumerate(slots[:n_max], start=1):
-        if a == 0:
-            continue
+    for n, a in geh_assignment(x):
+        if literal and n > x // 6:
+            break
         pattern = (0, 2 * n, 2 * n + a)
         if not is_admissible(pattern):
             raise InvariantViolation(f"generated pattern {pattern} is not admissible")

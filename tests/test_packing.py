@@ -168,20 +168,32 @@ class TestValidate:
 
 class TestGehAssignment:
     def test_x20(self):
-        assert geh_assignment(20) == (18, 12, 0, 6)
+        assert geh_assignment(20) == ((1, 18), (2, 12), (4, 6))
 
     def test_empty_below_8(self):
-        assert geh_assignment(7) == ()
+        for x in range(8):
+            assert geh_assignment(x) == ()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=2000))
     def test_invariants(self, x):
-        seq = geh_assignment(x)
-        nonzero = [a for a in seq if a != 0]
-        assert nonzero == sorted(nonzero, reverse=True)
-        assert set(nonzero) == set(range(6, x - 1, 6)) if x >= 8 else not nonzero
-        for i, a in enumerate(seq, start=1):
-            assert (a == 0) == (i % 3 == 0)
+        pairs = geh_assignment(x)
+        ns = [n for n, _ in pairs]
+        values = [a for _, a in pairs]
+        assert ns == [n for n in range(1, 2 * len(ns) + 1) if n % 3][: len(ns)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert set(values) == set(range(6, x - 1, 6))
+
+
+def padded_geh_reference(x, strategy):
+    """(members, raw_count) of geh read off a zero-padded assignment: slot i
+    holds 0 when 3 | i, else the next largest multiple of 6 in [6, x-2]."""
+    count = (x - 2) // 6 if x >= 8 else 0
+    slots = 3 * ((count - 1) // 2) + 1 + (count - 1) % 2 if count else 0
+    padded = [0 if i % 3 == 0 else 6 * (count - i + i // 3 + 1) for i in range(1, slots + 1)]
+    n_max = x // 6 if strategy == PAPER_LITERAL else slots
+    members = [(f"n={n}", frozenset({2 * n, a, 2 * n + a})) for n, a in enumerate(padded[:n_max], start=1) if a]
+    return tuple(members), len(members)
 
 
 class TestGehFamily:
@@ -205,18 +217,20 @@ class TestGehFamily:
         assert geh_family(20, PAPER_LITERAL).raw_count == 2
         assert geh_family(20, EXTENDED).raw_count == 3
         for x in range(2, 400):
-            slots = len(geh_assignment(x))
-            for strategy, n_max in ((PAPER_LITERAL, min(x // 6, slots)), (EXTENDED, slots)):
-                brute = sum(1 for n in range(1, n_max + 1) if n % 3 != 0)
+            pairs = geh_assignment(x)
+            for strategy, n_max in ((PAPER_LITERAL, x // 6), (EXTENDED, x)):
+                brute = sum(1 for n, _ in pairs if n <= n_max)
                 assert geh_family(x, strategy).raw_count == brute
 
     def test_keeps_every_slot(self):
-        # No span or overlap filter is needed: every non-empty slot is a member,
-        # so the extended range uses each multiple of 6 in [6, x-2] once.
+        # No span or overlap filter is needed: every pair is a member, so the
+        # extended range uses each multiple of 6 in [6, x-2] once. The members
+        # are those of the zero-padded construction, in the same order.
         for x in range(2, 3001):
             for strategy in (PAPER_LITERAL, EXTENDED):
                 cert = geh_family(x, strategy)
                 assert cert.count == cert.raw_count
+                assert (cert.members, cert.raw_count) == padded_geh_reference(x, strategy)
                 cert.validate()
             assert cert.count == (x - 2) // 6
 
@@ -228,8 +242,8 @@ class TestGehFamily:
         monkeypatch.setattr(packing, "CONSTRUCTION_MAX_CANDIDATES", 10)
         assert geh_family(67).raw_count == 10
         assert greedy_regular_packing(3, 131).raw_count == 10
-        monkeypatch.setattr(packing, "geh_assignment", lambda x: pytest.fail("built"))
-        for build in (lambda: geh_family(68), lambda: greedy_regular_packing(3, 132)):
+        monkeypatch.setattr(packing, "is_admissible", lambda pattern: pytest.fail("built"))
+        for build in (lambda: geh_assignment(68), lambda: geh_family(68), lambda: greedy_regular_packing(3, 132)):
             with pytest.raises(ValueError, match="limit 10"):
                 build()
 
