@@ -52,7 +52,19 @@ def _rational(value: Fraction) -> str:
 
 
 def _decimal(value: Fraction) -> str:
-    return f"{float(value):.6g}"
+    """A density >= 0 to 6 significant digits, as ``.6g`` renders it."""
+    approx = float(value)
+    if value == 0 or approx >= sys.float_info.min:
+        return f"{approx:.6g}"
+    # Below the normal floats too few bits (or none) are left: round the Fraction itself.
+    exponent = len(str(value.numerator)) - len(str(value.denominator))
+    if value < Fraction(10) ** exponent:
+        exponent -= 1
+    digits = round(value / Fraction(10) ** (exponent - 5))
+    if digits == 10**6:
+        digits, exponent = 10**5, exponent + 1
+    mantissa = f"{digits // 10**5}.{digits % 10**5:05d}".rstrip("0").rstrip(".")
+    return f"{mantissa}e{exponent:+03d}"
 
 
 def _certificate_payload(command: str, cert: packing.PackingCertificate) -> dict:
@@ -120,20 +132,8 @@ def _pack_exact(args: argparse.Namespace) -> dict:
 
 
 def _upper(args: argparse.Namespace) -> dict:
-    if args.k3_finite:
-        if args.k is not None:
-            raise ValueError("upper --k3-finite takes --x, not --k")
-        if args.x is None:
-            raise ValueError("upper --k3-finite requires --x")
-        return {
-            "command": "upper",
-            "x": args.x,
-            "count": packing.k3_finite_upper_bound(args.x),
-        }
     if args.x is not None:
-        raise ValueError("upper --x requires --k3-finite")
-    if args.k is None:
-        raise ValueError("upper requires --k or --k3-finite --x")
+        return {"command": "upper", "x": args.x, "count": packing.k3_finite_upper_bound(args.x)}
     return _density_payload("upper", args.k, packing.trivial_upper_bound_density(args.k))
 
 
@@ -189,20 +189,16 @@ def _build_parser() -> _Parser:
         " prove it. Solve time is not monotone in x:"
         " x = 100 takes about 1.3 s, but x = 114 takes about 60 s and x = 132 about 112 s"
         " in-process on a 2-vCPU VM, nearly all of it in integer programs the LP relaxation"
-        " cannot settle during extraction.",
+        " cannot settle during extraction. No time bound is known above x = 132: x = 300 ran"
+        " for more than 11 minutes without finishing.",
     )
-    q.add_argument(
-        "--x",
-        type=int,
-        required=True,
-        help=f"refused when there are over {oracle.DEFAULT_SEARCH_CAP} candidates, first at x = 324",
-    )
+    q.add_argument("--x", type=int, required=True, help=f"at most {oracle.EXACT_MAX_X}")
     q.set_defaults(run=_pack_exact)
 
     p = sub.add_parser("upper", help="packing density upper bounds")
-    p.add_argument("--k", type=int, help="trivial cap 1/(2(k-1)); not with --k3-finite")
-    p.add_argument("--k3-finite", action="store_true", dest="k3_finite")
-    p.add_argument("--x", type=int, help="only with --k3-finite")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--k", type=int, help="trivial density cap 1/(2(k-1))")
+    group.add_argument("--x", type=int, help="cap on a disjoint family of size-3 difference sets in [1, x]")
     p.set_defaults(run=_upper)
 
     p = sub.add_parser(

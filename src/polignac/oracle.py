@@ -24,13 +24,10 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from .admissible import is_admissible
 from .packing import InvariantViolation, PackingCertificate, geh_family, k3_sharp_upper_bound
 
-DEFAULT_SEARCH_CAP = 5000
+# The largest x with at most 5000 candidates; 324 has more.
+EXACT_MAX_X = 323
 # Scale at which LP duals are rounded to integers for the exact bound.
 DUAL_SCALE = 2**20
-
-
-class InstanceTooLarge(ValueError):
-    """Candidate list exceeds the exhaustive-search cap."""
 
 
 @dataclass(frozen=True)
@@ -49,17 +46,15 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     divides a, c-a or c (see ``k3_sharp_upper_bound``). Its mirror image
     {0, c-a, c} has the same set, so looping over c ascending, then even
     a <= c/2 ascending, yields each set once, already in canonical order.
-    InstanceTooLarge is raised as soon as DEFAULT_SEARCH_CAP sets are exceeded.
+    An x outside [1, EXACT_MAX_X] is refused before any set is built.
     """
-    if x < 1:
-        raise ValueError(f"x must be positive, got {x}")
+    if not 1 <= x <= EXACT_MAX_X:
+        raise ValueError(f"x must be in [1, {EXACT_MAX_X}], got {x}")
     candidates: list[frozenset[int]] = []
     for c in range(4, x + 1, 2):
         for a in range(2, c // 2 + 1, 2):
             if a * (c - a) * c % 3 == 0:
                 candidates.append(frozenset({a, c - a, c}))
-                if len(candidates) > DEFAULT_SEARCH_CAP:
-                    raise InstanceTooLarge(f"x={x} has over {DEFAULT_SEARCH_CAP} candidates")
     return PackingInstance(x, tuple(candidates))
 
 

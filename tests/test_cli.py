@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ LEAVES = (
     (["pack", "regular"], ["--k", "3", "--x", "100"]),
     (["pack", "geh"], ["--x", "20", "--strategy", "paper-literal"]),
     (["pack", "exact"], ["--x", "12"]),
-    (["upper"], ["--k3-finite", "--x", "36"]),
+    (["upper"], ["--x", "36"]),
     (["census"], ["--x", "20", "--dmax", "6"]),
 )
 
@@ -45,6 +46,18 @@ class TestBound:
 
     def test_k2_rejected(self):
         assert run_command(["bound", "--k", "2"]).exit_code == 1
+
+    def test_decimal_is_the_exact_rounding_below_the_normal_floats(self):
+        # Decimal division rounds the exact quotient once, to 6 significant digits.
+        context = decimal.Context(prec=6, rounding=decimal.ROUND_HALF_EVEN)
+        for k in range(3, 1001):
+            value = packing.lower_bound_density(k)
+            shown = run_json(["bound", "--k", str(k)])["decimal"]
+            exact = context.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
+            assert decimal.Decimal(shown).as_tuple() == exact.normalize().as_tuple(), k
+            if k <= 750:
+                assert shown == f"{float(value):.6g}", k
+        assert run_json(["bound", "--k", "1000"])["decimal"] == "1.025e-424"
 
     def test_k_capped_at_1000(self):
         assert run_json(["bound", "--k", "1000"])["k"] == 1000
@@ -140,17 +153,17 @@ class TestPack:
         assert payload["raw_count"] == 6
 
     def test_exact_refuses_large_x_fast(self):
-        start = time.perf_counter()
-        result = run_command(["pack", "exact", "--x", "4000"])
-        assert result.exit_code == 1
-        assert "5000" in result.payload["error"]
-        assert time.perf_counter() - start < 1.0
+        for x in ("324", "4000", "1000000000000"):
+            start = time.perf_counter()
+            result = run_command(["pack", "exact", "--x", x])
+            assert (result.exit_code, result.payload["error"]) == (1, f"x must be in [1, 323], got {x}")
+            assert time.perf_counter() - start < 0.1
 
     def test_exact_help_states_its_bound(self):
         text = " ".join(run_command(["pack", "exact", "-h"]).payload["help"].split())
-        assert f"over {oracle.DEFAULT_SEARCH_CAP} candidates" in text
-        assert "first at x = 324" in text
+        assert f"--x X at most {oracle.EXACT_MAX_X}" in text
         assert "x = 114 takes" in text
+        assert "No time bound is known above x = 132" in text
 
     def test_exact_suboptimal_solver_answer_exits_2(self, capsys, monkeypatch):
         # One disjoint member is a valid family in bounds, but geh has 7 at x = 48.
@@ -171,17 +184,17 @@ class TestUpper:
         assert run_json(["upper", "--k", "3"])["value"] == "1/4"
 
     def test_k3_finite(self):
-        assert run_json(["upper", "--k3-finite", "--x", "36"])["count"] == 7
+        assert run_json(["upper", "--x", "36"]) == {"command": "upper", "x": 36, "count": 7}
 
     def test_missing_arguments(self):
-        assert run_command(["upper"]).exit_code == 1
-        assert run_command(["upper", "--k3-finite"]).exit_code == 1
+        result = run_command(["upper"])
+        assert (result.exit_code, result.payload["error"]) == (1, "one of the arguments --k --x is required")
 
     def test_unused_option_refused(self):
         for argv, error in (
-            (["upper", "--k", "3", "--x", "36"], "upper --x requires --k3-finite"),
-            (["upper", "--x", "36"], "upper --x requires --k3-finite"),
-            (["upper", "--k3-finite", "--k", "3", "--x", "36"], "upper --k3-finite takes --x, not --k"),
+            (["upper", "--k", "3", "--x", "36"], "argument --x: not allowed with argument --k"),
+            (["upper", "--x", "36", "--k", "3"], "argument --k: not allowed with argument --x"),
+            (["upper", "--k3-finite", "--x", "36"], "unrecognized arguments: --k3-finite"),
         ):
             result = run_command(argv)
             assert (result.exit_code, result.payload["error"]) == (1, error)

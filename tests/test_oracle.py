@@ -11,7 +11,7 @@ from polignac import oracle
 from polignac.admissible import is_admissible
 from polignac.oracle import (
     DUAL_SCALE,
-    InstanceTooLarge,
+    EXACT_MAX_X,
     PackingInstance,
     enumerate_admissible_diffsets,
     max_disjoint_packing,
@@ -93,6 +93,29 @@ class TestEnumerate:
             expected = sorted(seen, key=lambda s: (max(s), sorted(s)))
             assert list(enumerate_admissible_diffsets(x).candidates) == expected
 
+    def test_cap_is_the_last_x_with_at_most_5000_candidates(self):
+        # Counted over all pairs up to the first refused x, as in the reference above.
+        top = EXACT_MAX_X + 1
+        spans = [
+            max(ds)
+            for ds in {
+                frozenset({a, b, a + b})
+                for a in range(2, top - 1, 2)
+                for b in range(2, top - a + 1, 2)
+                if is_admissible((0, a, a + b))
+            }
+        ]
+        assert sum(s <= EXACT_MAX_X for s in spans) <= 5000 < len(spans)
+
+    def test_refused_before_any_set_is_built(self, monkeypatch):
+        def no_set(*args):
+            raise AssertionError("a candidate set was built")
+
+        monkeypatch.setattr(oracle, "frozenset", no_set, raising=False)
+        for x in (EXACT_MAX_X + 1, 10**12):
+            with pytest.raises(ValueError, match="323"):
+                enumerate_admissible_diffsets(x)
+
     def test_canonical_order(self):
         inst = enumerate_admissible_diffsets(30)
         keys = [(max(ds), tuple(sorted(ds))) for ds in inst.candidates]
@@ -117,9 +140,9 @@ class TestMaxDisjointPacking:
         assert max_disjoint_packing(inst).count == 2
 
     def test_cap_enforced(self):
-        assert len(enumerate_admissible_diffsets(323).candidates) <= oracle.DEFAULT_SEARCH_CAP
+        assert len(enumerate_admissible_diffsets(323).candidates) <= 5000
         for x in (324, 400):
-            with pytest.raises(InstanceTooLarge):
+            with pytest.raises(ValueError, match=r"^x must be in \[1, 323\], got "):
                 enumerate_admissible_diffsets(x)
 
     def test_agrees_with_naive_subset_scan(self):
