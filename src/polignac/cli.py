@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 input or usage error, 2 violated internal
 invariant. Rationals are emitted exactly as "p/q" strings; decimal
 renderings are 6 significant digits and advisory only. JSON output is
-exactly json.dumps(payload, indent=2), with a certificate's members
-rendered from one template each.
+json.dumps(payload, indent=2), with each certificate member laid out as
+{"label", "values" ascending, "span"} and rendered from one template.
 """
 
 from __future__ import annotations
@@ -77,11 +77,7 @@ def _certificate_payload(command: str, cert: packing.PackingCertificate) -> dict
         "raw_count": cert.raw_count,
         "density": _rational(cert.density),
         "decimal": _decimal(cert.density),
-        # validate() refused empty members, so a sorted list's last value is its span.
-        "members": [
-            {"label": label, "values": (ordered := sorted(values)), "span": ordered[-1]}
-            for label, values in cert.members
-        ],
+        "members": cert.members,
     }
 
 
@@ -197,7 +193,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("upper", help="packing density upper bounds")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int, help="trivial density cap 1/(2(k-1))")
+    group.add_argument("--k", type=int, help=f"trivial density cap 1/(2(k-1)), k in [2, {sieve.PRIMORIAL_MAX_K}]")
     group.add_argument("--x", type=int, help="cap on a disjoint family of size-3 difference sets in [1, x]")
     p.set_defaults(run=_upper)
 
@@ -224,7 +220,8 @@ _MEMBER_JSON = '    {\n      "label": %s,\n      "values": [\n        %s\n      
 
 
 def _render_json(payload: dict) -> str:
-    """Exactly ``json.dumps(payload, indent=2)``.
+    """``json.dumps(payload, indent=2)``, each member laid out as
+    ``{"label", "values" ascending, "span"}``.
 
     With ``indent`` set, the standard library encodes in pure Python, one
     generator step per token. So a certificate's members, its last key, are
@@ -232,12 +229,12 @@ def _render_json(payload: dict) -> str:
     ``json.dumps``.
     """
     members = payload.get("members")
-    if not members or next(reversed(payload)) != "members":
+    if not members:
         return json.dumps(payload, indent=2)
     head = json.dumps({key: value for key, value in payload.items() if key != "members"}, indent=2)
     body = ",\n".join(
-        _MEMBER_JSON % (json.dumps(member["label"]), ",\n        ".join(map(str, member["values"])), member["span"])
-        for member in members
+        _MEMBER_JSON % (json.dumps(label), ",\n        ".join(map(str, sorted(values))), max(values))
+        for label, values in members
     )
     return f'{head[:-2]},\n  "members": [\n{body}\n  ]\n}}'
 
@@ -247,9 +244,9 @@ def _render_text(payload: dict) -> str:
     for key, value in payload.items():
         if key == "members":
             lines.append(f"members ({len(value)}):")
-            for member in value:
-                joined = ",".join(str(v) for v in member["values"])
-                lines.append(f"  {member['label']}: {{{joined}}} span={member['span']}")
+            for label, values in value:
+                joined = ",".join(map(str, sorted(values)))
+                lines.append(f"  {label}: {{{joined}}} span={max(values)}")
         elif key == "help":
             lines.append(value.rstrip("\n"))
         elif key == "counts":
@@ -265,9 +262,8 @@ def _render_csv(payload: dict) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     if "members" in payload:
         writer.writerow(["label", "values", "span"])
-        for member in payload["members"]:
-            joined = ";".join(str(v) for v in member["values"])
-            writer.writerow([member["label"], joined, member["span"]])
+        for label, values in payload["members"]:
+            writer.writerow([label, ";".join(map(str, sorted(values))), max(values)])
     elif "counts" in payload:
         writer.writerow(["d", "count"])
         for d, c in payload["counts"].items():

@@ -11,18 +11,20 @@ family of size-3 difference sets can achieve.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .admissible import is_admissible
-from .sieve import primorial
+from .sieve import PRIMORIAL_MAX_K, primorial
 
 PAPER_LITERAL = "paper-literal"
 EXTENDED = "extended"
 GEH_STRATEGIES = (PAPER_LITERAL, EXTENDED)
 # Most candidates a construction builds; more are refused before any is built.
-# At the limit, `pack geh` (x = 1200007) takes 3.1-3.6 s and 277 MB peak RSS
-# in-process on a 2-vCPU VM, JSON rendering (0.7-1.0 s of it) included.
+# At the limit, `pack geh` (x = 1200007) takes 1.4-1.5 s and 238 MB peak RSS
+# in a fresh process on a 2-vCPU VM, JSON rendering (0.5 s of it) included;
+# `pack regular --k 3 --x 2400011` takes 0.8-1.2 s and 185 MB.
 CONSTRUCTION_MAX_CANDIDATES = 200_000
 
 
@@ -87,9 +89,12 @@ def lower_bound_density(k: int) -> Fraction:
 
 
 def trivial_upper_bound_density(k: int) -> Fraction:
-    """Cap 1 / (2(k-1)): each difference set needs k-1 distinct even values."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    """Cap 1 / (2(k-1)): each difference set needs k-1 distinct even values.
+
+    k is refused outside [2, PRIMORIAL_MAX_K], the k domain of the primorial.
+    """
+    if not 2 <= k <= PRIMORIAL_MAX_K:
+        raise ValueError(f"k must be in [2, {PRIMORIAL_MAX_K}], got {k}")
     return Fraction(1, 2 * (k - 1))
 
 
@@ -146,16 +151,17 @@ def greedy_counting_floor(k: int, x: int) -> int:
     return 2 * n_max // ((k - 1) * (k - 2) + 2) - 1
 
 
-def geh_assignment(x: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (n, a_n): n runs over 1, 2, 4, 5, 7, ... (3 does not divide
-    n) and a_n over the multiples of 6 in [6, x-2], largest first.
+def geh_assignment(x: int) -> Iterator[tuple[int, int]]:
+    """An iterator over the pairs (n, a_n): n runs over 1, 2, 4, 5, 7, ...
+    (3 does not divide n) and a_n over the multiples of 6 in [6, x-2],
+    largest first. Each pair is built only when drawn.
 
     An x with more than CONSTRUCTION_MAX_CANDIDATES multiples of 6 in
-    [6, x-2] is refused before any pair is built.
+    [6, x-2] is refused when called, before any pair is built.
     """
     count = (x - 2) // 6
     _check_candidate_count(x, count)
-    return tuple(zip((n for n in itertools.count(1) if n % 3), range(6 * count, 0, -6)))
+    return zip((n for n in itertools.count(1) if n % 3), range(6 * count, 0, -6))
 
 
 def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:

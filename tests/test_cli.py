@@ -129,6 +129,11 @@ class TestPack:
     def test_geh_extended_default(self):
         assert run_json(["pack", "geh", "--x", "20"])["count"] == 3
 
+    def test_payload_members_are_the_certificates(self):
+        members = run_command(["pack", "geh", "--x", "20"]).payload["members"]
+        assert members == packing.geh_family(20).members
+        assert all(type(label) is str and type(values) is frozenset for label, values in members)
+
     def test_constructions_refuse_over_candidate_limit_fast(self):
         for argv in (["pack", "geh", "--x", "10000000000"], ["pack", "regular", "--k", "3", "--x", "10000000000"]):
             start = time.perf_counter()
@@ -185,6 +190,16 @@ class TestUpper:
 
     def test_k3_finite(self):
         assert run_json(["upper", "--x", "36"]) == {"command": "upper", "x": 36, "count": 7}
+
+    def test_k_outside_domain_refused_fast(self):
+        # 2(k-1) of a 4300-digit k is over int-to-str's limit, so it must be refused, not rendered.
+        for k in ("1", "1001", "9" * 4300):
+            start = time.perf_counter()
+            result = run_command(["upper", "--k", k])
+            assert (result.exit_code, result.payload["error"]) == (1, f"k must be in [2, 1000], got {k}")
+            assert time.perf_counter() - start < 0.1
+        assert run_json(["upper", "--k", "1000"])["value"] == "1/1998"
+        assert "k in [2, 1000]" in " ".join(run_command(["upper", "-h"]).payload["help"].split())
 
     def test_missing_arguments(self):
         result = run_command(["upper"])
@@ -305,12 +320,50 @@ class TestPlumbing:
         assert "not admissible" in captured.err
 
 
+class TestTextAndCsvRendering:
+    """Certificate text and CSV pinned byte for byte; the renderers sort each member's values."""
+
+    @pytest.mark.parametrize(
+        "argv, fmt, expected",
+        [
+            (
+                "pack geh --x 20 --strategy paper-literal",
+                "text",
+                "command: pack geh\nk: 3\nx: 20\ncount: 2\nraw_count: 2\ndensity: 1/10\ndecimal: 0.1\n"
+                "members (2):\n  n=1: {2,18,20} span=20\n  n=2: {4,12,16} span=16",
+            ),
+            ("pack geh --x 20 --strategy paper-literal", "csv", "label,values,span\nn=1,2;18;20,20\nn=2,4;12;16,16"),
+            (
+                "pack exact --x 12",
+                "text",
+                "command: pack exact\nk: 3\nx: 12\ncount: 1\nraw_count: 6\ndensity: 1/12\ndecimal: 0.0833333\n"
+                "members (1):\n  #0: {2,4,6} span=6",
+            ),
+            ("pack exact --x 12", "csv", "label,values,span\n#0,2;4;6,6"),
+            (
+                "pack regular --k 6 --x 100",
+                "text",
+                "command: pack regular\nk: 6\nx: 100\ncount: 0\nraw_count: 0\ndensity: 0/1\ndecimal: 0\nmembers (0):",
+            ),
+            ("pack regular --k 6 --x 100", "csv", "label,values,span"),
+        ],
+    )
+    def test_certificate_bytes(self, argv, fmt, expected):
+        assert render(run_command(argv.split()), fmt) == expected
+
+
 class TestJsonRendering:
-    """render(..., "json") splices members from a template; its bytes must stay json.dumps(indent=2)'s."""
+    """render(..., "json") splices members from a template; its bytes must stay json.dumps(indent=2)'s
+    of the payload with each member laid out as {"label", "values" ascending, "span"}."""
 
     def assert_stdlib_bytes(self, argv):
         result = run_command(argv)
-        rendered, expected = render(result, "json"), json.dumps(result.payload, indent=2)
+        payload = dict(result.payload)
+        if "members" in payload:
+            payload["members"] = [
+                {"label": label, "values": sorted(values), "span": max(values)} for label, values in payload["members"]
+            ]
+        rendered, expected = render(result, "json"), json.dumps(payload, indent=2)
         if rendered != expected:  # not a bare assert: pytest would diff megabytes of text
             at = len(os.path.commonprefix([rendered, expected]))
             pytest.fail(f"{argv} differs from json.dumps at byte {at}: {rendered[max(at - 40, 0):at + 40]!r}")
@@ -325,7 +378,7 @@ class TestJsonRendering:
         for k in range(3, 7):
             for x in (1, 100, 1000, 20000):
                 self.assert_stdlib_bytes(["pack", "regular", "--k", str(k), "--x", str(x)])
-        assert self.assert_stdlib_bytes(["pack", "regular", "--k", "6", "--x", "100"]).payload["members"] == []
+        assert self.assert_stdlib_bytes(["pack", "regular", "--k", "6", "--x", "100"]).payload["members"] == ()
 
     def test_exact_at_every_small_x(self):
         for x in range(41):

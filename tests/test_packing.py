@@ -50,8 +50,9 @@ class TestBoundFormulas:
     def test_input_errors(self):
         with pytest.raises(ValueError):
             lower_bound_density(2)
-        with pytest.raises(ValueError):
-            trivial_upper_bound_density(1)
+        for k in (1, 1001):
+            with pytest.raises(ValueError, match=rf"k must be in \[2, 1000\], got {k}"):
+                trivial_upper_bound_density(k)
 
 
 class TestRegularOverlap:
@@ -168,16 +169,21 @@ class TestValidate:
 
 class TestGehAssignment:
     def test_x20(self):
-        assert geh_assignment(20) == ((1, 18), (2, 12), (4, 6))
+        assert tuple(geh_assignment(20)) == ((1, 18), (2, 12), (4, 6))
+
+    def test_pairs_are_built_as_drawn(self):
+        pairs = geh_assignment(1200007)
+        assert iter(pairs) is pairs
+        assert next(pairs) == (1, 1200000)
 
     def test_empty_below_8(self):
         for x in range(8):
-            assert geh_assignment(x) == ()
+            assert tuple(geh_assignment(x)) == ()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=2000))
     def test_invariants(self, x):
-        pairs = geh_assignment(x)
+        pairs = tuple(geh_assignment(x))
         ns = [n for n, _ in pairs]
         values = [a for _, a in pairs]
         assert ns == [n for n in range(1, 2 * len(ns) + 1) if n % 3][: len(ns)]
@@ -217,7 +223,7 @@ class TestGehFamily:
         assert geh_family(20, PAPER_LITERAL).raw_count == 2
         assert geh_family(20, EXTENDED).raw_count == 3
         for x in range(2, 400):
-            pairs = geh_assignment(x)
+            pairs = tuple(geh_assignment(x))
             for strategy, n_max in ((PAPER_LITERAL, x // 6), (EXTENDED, x)):
                 brute = sum(1 for n, _ in pairs if n <= n_max)
                 assert geh_family(x, strategy).raw_count == brute
