@@ -1,4 +1,4 @@
-"""Offset patterns, admissibility, difference sets, and regular admissible sets.
+"""Offset patterns, admissibility and difference sets.
 
 An offset pattern is a plain ``tuple[int, ...]``. A pattern of offsets is
 admissible when, for every prime p, its residues mod p leave at least one
@@ -8,24 +8,29 @@ coprime to any fixed modulus.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from itertools import combinations
 
-from .sieve import PRIMORIAL_MAX_K, primes_up_to, primorial
+from .sieve import PRIMORIAL_MAX_K, primes_up_to
 
 
 def normalize(raw: Iterable[int]) -> tuple[int, ...]:
     """Sort, deduplicate, and translate so the minimum offset is 0.
 
-    The result is strictly increasing and starts at 0. Empty input, and input
-    of more than PRIMORIAL_MAX_K distinct offsets, is refused before any
-    admissibility or difference work, which grows quadratically in the count.
+    The result is strictly increasing and starts at 0. Empty input, more than
+    PRIMORIAL_MAX_K distinct offsets (difference work grows quadratically in
+    the count) and a span with more digits than int-to-str's limit, which
+    could not render, are refused before any admissibility or difference work.
     """
     values = sorted(set(raw))
     if not values:
         raise ValueError("cannot normalize an empty sequence")
     if len(values) > PRIMORIAL_MAX_K:
         raise ValueError(f"a pattern has at most {PRIMORIAL_MAX_K} offsets, got {len(values)}")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or no limit function: no limit
+    if digits and values[-1] - values[0] >= 10**digits:
+        raise ValueError(f"a pattern's span has at most {digits} digits, int-to-str's limit")
     base = values[0]
     return tuple(v - base for v in values)
 
@@ -47,17 +52,3 @@ def difference_set(offsets: tuple[int, ...]) -> frozenset[int]:
     """All positive pairwise differences; empty for a singleton. Like
     admissibility, the set depends on neither order nor repeated offsets."""
     return frozenset(b - a for a, b in combinations(sorted(set(offsets)), 2))
-
-
-def regular_admissible(k: int, n: int) -> tuple[int, ...]:
-    """The arithmetic progression (0, nP(k), ..., (k-1)nP(k)), P(k) the primorial.
-
-    Every element is 0 mod each prime p <= k, so the pattern is always
-    admissible; its difference set is {nP(k), ..., (k-1)nP(k)}, of size k-1.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    step = n * primorial(k)
-    return tuple(i * step for i in range(k))

@@ -155,7 +155,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="guaranteed packing density lower bound for size k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"in [3, {sieve.PRIMORIAL_MAX_K}]")
     p.set_defaults(run=_bound)
 
     p = sub.add_parser("check", help="decide admissibility of an offset pattern")
@@ -170,7 +170,7 @@ def _build_parser() -> _Parser:
     pack_sub = p.add_subparsers(dest="pack_command", required=True)
     cap = packing.CONSTRUCTION_MAX_CANDIDATES
     q = pack_sub.add_parser("regular", help="first-fit greedy over regular sets")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=int, required=True, help=f"in [3, {sieve.PRIMORIAL_MAX_K}]")
     q.add_argument("--x", type=int, required=True, help=f"refused when x // ((k-1) P(k)) exceeds {cap}")
     q.set_defaults(run=_pack_regular)
     q = pack_sub.add_parser("geh", help="size-3 construction from multiples of 6")

@@ -32,6 +32,11 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+def _check_regular_k(k: int) -> None:
+    if not 3 <= k <= PRIMORIAL_MAX_K:
+        raise ValueError(f"k must be in [3, {PRIMORIAL_MAX_K}], got {k}")
+
+
 def _check_candidate_count(x: int, count: int) -> None:
     if count > CONSTRUCTION_MAX_CANDIDATES:
         raise ValueError(
@@ -83,16 +88,13 @@ class PackingCertificate:
 
 def lower_bound_density(k: int) -> Fraction:
     """Guaranteed packing density 2 / ((k-1)((k-1)(k-2)+2) P(k))."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    _check_regular_k(k)
     return Fraction(2, (k - 1) * ((k - 1) * (k - 2) + 2) * primorial(k))
 
 
 def trivial_upper_bound_density(k: int) -> Fraction:
-    """Cap 1 / (2(k-1)): each difference set needs k-1 distinct even values.
-
-    k is refused outside [2, PRIMORIAL_MAX_K], the k domain of the primorial.
-    """
+    """Cap 1 / (2(k-1)), each difference set needing k-1 distinct even values;
+    k is refused outside [2, PRIMORIAL_MAX_K], the regular family's top k."""
     if not 2 <= k <= PRIMORIAL_MAX_K:
         raise ValueError(f"k must be in [2, {PRIMORIAL_MAX_K}], got {k}")
     return Fraction(1, 2 * (k - 1))
@@ -103,30 +105,15 @@ def k3_upper_bound_density() -> Fraction:
     return Fraction(7, 36)
 
 
-def regular_overlap(k: int, n: int, m: int) -> bool:
-    """Whether the regular difference sets at indices n < m intersect.
-
-    Equivalent to the existence of 1 <= i < j <= k-1 with i*m = j*n.
-    """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if n >= m:
-        raise ValueError(f"need n < m, got n={n}, m={m}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return any(i * m == j * n for j in range(2, k) for i in range(1, j))
-
-
 def greedy_regular_packing(k: int, x: int) -> PackingCertificate:
-    """First-fit over n = 1, 2, ...: keep each regular difference set that is
-    disjoint from everything kept so far.
-
-    Candidates are exactly the n with (k-1) n P(k) <= x, so every kept set
-    lies in [1, x] by construction. More than CONSTRUCTION_MAX_CANDIDATES
-    of them are refused before any is built.
+    """First-fit over n = 1, 2, ...: keep each regular difference set
+    {nP(k), ..., (k-1)nP(k)} disjoint from everything kept so far. The sets at
+    n < m meet iff i*m = j*n for some 1 <= i < j <= k-1; greedy_counting_floor
+    rests on this. Candidates are exactly the n with (k-1) n P(k) <= x, so
+    every kept set lies in [1, x] by construction; more than
+    CONSTRUCTION_MAX_CANDIDATES of them are refused before any is built.
     """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    _check_regular_k(k)
     if x < 1:
         raise ValueError(f"x must be positive, got {x}")
     step = primorial(k)
@@ -145,8 +132,7 @@ def greedy_regular_packing(k: int, x: int) -> PackingCertificate:
 def greedy_counting_floor(k: int, x: int) -> int:
     """Guaranteed minimum size of the greedy packing, with unit slack for
     the bounded correction term: floor(2 floor(x/((k-1)P(k))) / ((k-1)(k-2)+2)) - 1."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    _check_regular_k(k)
     n_max = x // ((k - 1) * primorial(k))
     return 2 * n_max // ((k - 1) * (k - 2) + 2) - 1
 

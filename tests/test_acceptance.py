@@ -6,11 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from polignac.admissible import (
-    difference_set,
-    normalize,
-    regular_admissible,
-)
+from polignac.admissible import normalize
 from polignac.oracle import enumerate_admissible_diffsets, max_disjoint_packing
 from polignac.packing import (
     EXTENDED,
@@ -56,18 +52,24 @@ def test_criterion_1_theorem2_values():
 
 def test_criterion_2_overlap_equivalence():
     with _Criterion(2, 5.0):
+        # The regular sets at n < m meet iff i*m = j*n for some 1 <= i < j <= k-1;
+        # the greedy keeps n iff that holds for no kept m < n.
         cases = 0
         for k in (3, 4, 5, 6):
-            diff_sets = {
-                n: difference_set(regular_admissible(k, n))
-                for n in range(1, 101)
-            }
-            from polignac.packing import regular_overlap
+            step = primorial(k)
+            diff_sets = {n: frozenset(i * n * step for i in range(1, k)) for n in range(1, 101)}
+
+            def lemma(n, m):
+                return any(i * m == j * n for j in range(2, k) for i in range(1, j))
 
             for n in range(1, 101):
                 for m in range(n + 1, 101):
-                    assert regular_overlap(k, n, m) == bool(diff_sets[n] & diff_sets[m])
+                    assert lemma(n, m) == bool(diff_sets[n] & diff_sets[m])
                     cases += 1
+            cert = greedy_regular_packing(k, 100 * (k - 1) * step)
+            kept = [int(label.removeprefix("n=")) for label, _ in cert.members]
+            for n in range(1, 101):
+                assert (n in kept) == (not any(lemma(m, n) for m in kept if m < n))
         assert cases == 4 * 100 * 99 // 2
 
 

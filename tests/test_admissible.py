@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polignac.admissible import (
-    difference_set,
-    is_admissible,
-    normalize,
-    regular_admissible,
-)
+from polignac.admissible import difference_set, is_admissible, normalize
 from polignac.sieve import primes_up_to, primorial
 
 
@@ -105,27 +100,24 @@ class TestDifferenceSet:
         assert max(difference_set((0,)), default=0) == 0
 
 
-class TestRegularAdmissible:
-    def test_examples(self):
-        assert regular_admissible(3, 1) == (0, 6, 12)
-        assert regular_admissible(3, 2) == (0, 12, 24)
-        assert regular_admissible(5, 1) == (0, 30, 60, 90, 120)
+def regular_pattern(k, n):
+    """The arithmetic progression (0, nP(k), ..., (k-1)nP(k)), P(k) the primorial."""
+    return tuple(i * n * primorial(k) for i in range(k))
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            regular_admissible(1, 1)
-        with pytest.raises(ValueError):
-            regular_admissible(3, 0)
+
+class TestRegularAdmissible:
+    """The paper's claim behind the greedy, which never checks it at run time:
+    every offset of a regular pattern is 0 mod each prime p <= k."""
 
     def test_always_admissible(self):
         for k in range(2, 11):
             for n in range(1, 51):
-                assert is_admissible(regular_admissible(k, n))
+                assert is_admissible(regular_pattern(k, n))
 
     def test_difference_set_structure(self):
         for k in range(2, 8):
             for n in (1, 2, 7):
                 step = n * primorial(k)
-                ds = difference_set(regular_admissible(k, n))
+                ds = difference_set(regular_pattern(k, n))
                 assert ds == {i * step for i in range(1, k)}
                 assert len(ds) == k - 1

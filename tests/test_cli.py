@@ -47,6 +47,14 @@ class TestBound:
     def test_k2_rejected(self):
         assert run_command(["bound", "--k", "2"]).exit_code == 1
 
+    def test_regular_k_domain_pinned(self):
+        # The regular family's k range on both commands that build it, not the primorial's [1, 1000].
+        for argv in (["bound"], ["pack", "regular", "--x", "100"]):
+            for k in ("2", "1001"):
+                result = run_command([*argv, "--k", k])
+                assert (result.exit_code, result.payload["error"]) == (1, f"k must be in [3, 1000], got {k}")
+            assert "--k K in [3, 1000]" in " ".join(run_command([*argv, "-h"]).payload["help"].split())
+
     def test_decimal_is_the_exact_rounding_below_the_normal_floats(self):
         # Decimal division rounds the exact quotient once, to 6 significant digits.
         context = decimal.Context(prec=6, rounding=decimal.ROUND_HALF_EVEN)
@@ -107,6 +115,24 @@ class TestCheckAndDiffs:
         assert result.exit_code == 1
         assert result.payload["error"] == "a pattern has at most 1000 offsets, got 1001"
         assert time.perf_counter() - start < 1.0
+
+    def test_span_over_the_int_to_str_limit_refused(self, capsys):
+        # normalize translates -N to 0, so N = 4300 nines would render as a 4301-digit offset.
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            nines = "9" * 4300
+            for command in ("check", "diffs"):
+                start = time.perf_counter()
+                assert main([command, "--", f"-{nines}", nines]) == 1
+                assert time.perf_counter() - start < 0.1
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err) == ("", "a pattern's span has at most 4300 digits, int-to-str's limit\n")
+                for fmt in ("json", "csv", "text"):
+                    assert main([command, "0", nines, "--format", fmt]) == 0
+                    assert nines in capsys.readouterr().out
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_check_help_states_its_bound(self):
         assert "at most 1000 offsets" in run_command(["check", "-h"]).payload["help"]

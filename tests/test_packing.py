@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polignac import packing
-from polignac.admissible import difference_set, normalize, regular_admissible
+from polignac.admissible import difference_set, normalize
 from polignac.packing import (
     EXTENDED,
     PAPER_LITERAL,
@@ -18,7 +18,6 @@ from polignac.packing import (
     k3_finite_upper_bound,
     k3_upper_bound_density,
     lower_bound_density,
-    regular_overlap,
     trivial_upper_bound_density,
 )
 from polignac.sieve import primorial
@@ -48,30 +47,47 @@ class TestBoundFormulas:
             assert lower_bound_density(k) < trivial_upper_bound_density(k)
 
     def test_input_errors(self):
-        with pytest.raises(ValueError):
-            lower_bound_density(2)
+        # The regular family's k range, refused before the primorial's own [1, 1000] check.
+        for k in (2, 1001):
+            message = rf"k must be in \[3, 1000\], got {k}"
+            with pytest.raises(ValueError, match=message):
+                lower_bound_density(k)
+            with pytest.raises(ValueError, match=message):
+                greedy_regular_packing(k, 100)
+            with pytest.raises(ValueError, match=message):
+                greedy_counting_floor(k, 100)
         for k in (1, 1001):
             with pytest.raises(ValueError, match=rf"k must be in \[2, 1000\], got {k}"):
                 trivial_upper_bound_density(k)
 
 
+def regular_set(k, n):
+    """The regular difference set {nP(k), ..., (k-1)nP(k)}."""
+    return frozenset(i * n * primorial(k) for i in range(1, k))
+
+
+def lemma_overlap(k, n, m):
+    """The overlap lemma's condition: i*m = j*n for some 1 <= i < j <= k-1."""
+    return any(i * m == j * n for j in range(2, k) for i in range(1, j))
+
+
+def kept_by_index(k, n_max):
+    cert = greedy_regular_packing(k, n_max * (k - 1) * primorial(k))
+    return {int(label.removeprefix("n=")): values for label, values in cert.members}
+
+
 class TestRegularOverlap:
-    def test_examples(self):
-        assert regular_overlap(3, 1, 2)
-        assert not regular_overlap(3, 2, 3)
-        assert not regular_overlap(3, 1, 3)
-
-    def test_rejects_unordered(self):
-        with pytest.raises(ValueError):
-            regular_overlap(3, 3, 2)
-
     def test_matches_direct_intersection(self):
         for k in range(3, 7):
             for n in range(1, 41):
-                dn = difference_set(regular_admissible(k, n))
                 for m in range(n + 1, 41):
-                    dm = difference_set(regular_admissible(k, m))
-                    assert regular_overlap(k, n, m) == bool(dn & dm)
+                    assert lemma_overlap(k, n, m) == bool(regular_set(k, n) & regular_set(k, m))
+
+    def test_greedy_keeps_exactly_the_indices_the_lemma_allows(self):
+        for k in range(3, 7):
+            kept = kept_by_index(k, 60)
+            for n in range(1, 61):
+                assert (n in kept) == (not any(lemma_overlap(k, m, n) for m in kept if m < n))
 
 
 class TestGreedyRegularPacking:
@@ -114,7 +130,7 @@ class TestGreedyRegularPacking:
         for k in range(3, 7):
             kept = []
             for n in range(1, 61):
-                ds = difference_set(regular_admissible(k, n))
+                ds = difference_set(tuple(i * n * primorial(k) for i in range(k)))
                 if all(ds.isdisjoint(other) for _, other in kept):
                     kept.append((f"n={n}", ds))
                 cert = greedy_regular_packing(k, n * (k - 1) * primorial(k))
@@ -122,11 +138,9 @@ class TestGreedyRegularPacking:
 
     def test_every_dropped_index_overlaps_an_earlier_kept_one(self):
         for k in range(3, 7):
-            n_max = 60
-            cert = greedy_regular_packing(k, n_max * (k - 1) * primorial(k))
-            kept = {int(label.removeprefix("n=")) for label, _ in cert.members}
-            for n in set(range(1, n_max + 1)) - kept:
-                assert any(regular_overlap(k, m, n) for m in kept if m < n)
+            kept = kept_by_index(k, 60)
+            for n in set(range(1, 61)) - kept.keys():
+                assert any(regular_set(k, n) & values for m, values in kept.items() if m < n)
 
     def test_scaling_invariance(self):
         # Selection depends only on floor(x / ((k-1) P(k))).
