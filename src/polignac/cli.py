@@ -181,12 +181,12 @@ def _build_parser() -> _Parser:
         "exact",
         help="exhaustive maximum packing (k = 3)",
         description="The optimum is proven in closed form and met by the geh family, except when"
-        " x mod 6 is 0 or 1 and (x // 6) mod 4 is 0 or 1: only then does an integer program"
-        " prove it. Solve time is not monotone in x:"
-        " x = 100 takes about 1.3 s, but x = 114 takes about 60 s and x = 132 about 112 s"
-        " in-process on a 2-vCPU VM, nearly all of it in integer programs the LP relaxation"
-        " cannot settle during extraction. No time bound is known above x = 132: x = 300 ran"
-        " for more than 11 minutes without finishing.",
+        " x mod 6 is 0 or 1 and m = x // 6 is 0 or 1 mod 4: there an exact-cover integer"
+        " program finds a family of m members, and the cap proves it optimal. Solve time is"
+        " not monotone in x: x = 100 takes about 0.3 s, but x = 114 takes about 30 s and"
+        " x = 132 about 60 s in-process on a 2-vCPU VM, nearly all of it in integer programs"
+        " the LP relaxation cannot settle during extraction. No time bound is known above"
+        " x = 132: x = 300 ran for more than 11 minutes without finishing.",
     )
     q.add_argument("--x", type=int, required=True, help=f"at most {oracle.EXACT_MAX_X}")
     q.set_defaults(run=_pack_exact)

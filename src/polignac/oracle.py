@@ -4,14 +4,18 @@ difference sets in [1, x] and find a maximum disjoint subfamily.
 Any other instance, or one repeating a set, is refused. A closed-form cap on
 the optimum is proven (``k3_sharp_upper_bound``), and outside its "perfect"
 case the geh family attains it, so the optimum needs no solve and geh is the
-first witness. In the perfect case a checked 0/1 integer program (HiGHS via
-scipy) over one incidence matrix finds it, between the geh family's size and
-the cap. The certificate is the lexicographically first optimum in canonical
-order: a candidate is committed iff some optimum agreeing with every earlier
-decision contains it. Most candidates forced in are settled by the LP
-relaxation: its duals give an upper bound on the restricted optimum that is
-evaluated in exact integer arithmetic, and an integral LP vector is checked
-like any solver vector. Only the rest need an integer program.
+first witness. In the perfect case a family meeting the cap uses every
+value exactly once, so a checked 0/1 integer program (HiGHS via scipy) over
+one incidence matrix asks for such an exact cover, and the cap proves the one
+it finds optimal; only when there is none is the optimum solved for, between
+the geh family's size and the cap. The certificate is the lexicographically
+first optimum in canonical order: a candidate is committed iff some optimum
+agreeing with every earlier decision contains it. Most candidates forced in
+are settled by the LP relaxation: its duals give an upper bound on the
+restricted optimum that is evaluated in exact integer arithmetic and holds
+for any duals, so the last LP's duals are tried before a new LP runs, and an
+integral LP vector is checked like any solver vector. Only the rest need an
+integer program.
 """
 
 from __future__ import annotations
@@ -78,16 +82,22 @@ def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, vector)
     return set(np.flatnonzero(chosen).tolist())
 
 
-def _solve(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> set[int]:
-    """Columns of a maximum disjoint family within the bounds; the solver vector is checked."""
+def _solve(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, cover: bool = False) -> set[int] | None:
+    """Columns of a maximum disjoint family within the bounds; the solver vector is checked.
+
+    With cover, the family must also use every value exactly once, and None
+    means the solver proved that no such family exists.
+    """
     result = milp(
         c=-np.ones(incidence.shape[1]),
-        constraints=LinearConstraint(incidence, 0, 1),
+        constraints=LinearConstraint(incidence, int(cover), 1),
         integrality=1,
         bounds=Bounds(lower, upper),
         options={"mip_rel_gap": 0},  # prove optimality exactly, not to HiGHS's default gap
     )
     if not result.success:
+        if cover and result.status == 2:  # infeasible: no exact cover
+            return None
         raise InvariantViolation(f"integer program failed: {result.message}")
     found = _family(incidence, lower, upper, result.x)
     if found is None:
@@ -114,14 +124,22 @@ def _dual_bound(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, mar
     return int(scaled.sum() + np.maximum(reduced * lo, reduced * hi).sum())
 
 
-def _relaxation(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int) -> set[int] | None:
+def _relaxation(
+    incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int, duals: np.ndarray | None
+) -> tuple[set[int] | None, np.ndarray | None]:
     """Settle a forced candidate with the LP relaxation, where it can.
 
-    Returns set() when the dual bound proves the restricted optimum is below
-    target, the LP vector's family when it is one of at least target members,
-    and None when the integer program must decide. Nothing the LP returns is
-    trusted: a bad dual can only fail to reject, a bad vector fails the check.
+    duals are the marginals of an earlier LP over the same incidence, or
+    None. ``_dual_bound`` holds for any y, so they are tried first and the LP
+    runs only when they fail to reject. Returns set() when a dual bound
+    proves the restricted optimum is below target, the LP vector's family
+    when it is one of at least target members, and None when the integer
+    program must decide; with it, the duals to try next. Nothing the LP
+    returns is trusted: a bad dual can only fail to reject, a bad vector
+    fails the check.
     """
+    if duals is not None and _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
+        return set(), duals
     result = linprog(
         c=-np.ones(incidence.shape[1]),
         A_ub=incidence,
@@ -130,11 +148,12 @@ def _relaxation(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, tar
         method="highs",
     )
     if result.status != 0:
-        return None
-    if _dual_bound(incidence, lower, upper, result.ineqlin.marginals) < target * DUAL_SCALE:
-        return set()
+        return None, duals
+    duals = result.ineqlin.marginals
+    if _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
+        return set(), duals
     found = _family(incidence, lower, upper, result.x)
-    return found if found is not None and len(found) >= target else None
+    return (found if found is not None and len(found) >= target else None), duals
 
 
 def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
@@ -144,8 +163,10 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     A fitting candidate in the witness (an optimum agreeing with every decision
     so far) is committed with no solve; any other is forced in and committed
     iff the restricted optimum still reaches the target, that solution becoming
-    the witness. The LP relaxation settles that first (see ``_relaxation``);
-    only what it leaves open is solved as an integer program.
+    the witness. The LP relaxation settles that first (see ``_relaxation``):
+    any duals give a valid bound, so the last LP's duals are kept and reject
+    what they can before a new LP runs. Only what it leaves open is solved as
+    an integer program.
 
     x must be positive and every candidate a distinct admissible size-3
     difference set in [1, x]; otherwise an InvariantViolation, naming the
@@ -153,8 +174,12 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     between two proven bounds: the geh members among the candidates, since
     geh is disjoint (max(0, (x-2)//6) of them for an enumerated instance),
     and ``k3_sharp_upper_bound(x)``. When they meet, the geh members are the
-    first witness, checked like any solver vector; otherwise an integer
-    program finds the optimum and it is checked against both bounds.
+    first witness, checked like any solver vector. Otherwise (the perfect
+    case, where the cap m leaves geh one short) any m-member family uses every
+    value exactly once, so an integer program first asks for an exact cover:
+    one of m members is a witness the cap proves optimal. When there is none,
+    or it has fewer members (possible only for a hand-built instance), an
+    integer program finds the optimum, and it is checked against both bounds.
     """
     if instance.x < 1:
         raise InvariantViolation(f"x = {instance.x} is not positive")
@@ -179,11 +204,14 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
             if witness is None:
                 raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
         else:
-            witness = _solve(incidence, lower, upper)
+            witness = _solve(incidence, lower, upper, cover=True)
+            if witness is None or len(witness) < cap:
+                witness = _solve(incidence, lower, upper)
     target = len(witness)
     if not floor <= target <= cap:
         raise InvariantViolation(f"optimum {target} is outside the proven bounds [{floor}, {cap}]")
     used: set[int] = set()
+    duals = None
     for i in range(n):
         if lower.sum() == target:
             break
@@ -192,7 +220,7 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
             continue
         lower[i] = 1
         if i not in witness:
-            found = _relaxation(incidence, lower, upper, target)
+            found, duals = _relaxation(incidence, lower, upper, target, duals)
             if found is None:
                 found = _solve(incidence, lower, upper)
             if len(found) > target:

@@ -41,6 +41,20 @@ def oracle_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Each integer program as (form, variable lower bounds): "cover" when every value must be used."""
+    calls = []
+
+    def recording_milp(**kwargs):
+        form = "cover" if np.all(kwargs["constraints"].lb == 1) else "max"
+        calls.append((form, np.copy(kwargs["bounds"].lb)))  # the oracle updates its array in place
+        return milp(**kwargs)
+
+    monkeypatch.setattr(oracle, "milp", recording_milp)
+    return calls
+
+
 def naive_max_packing_size(candidates):
     """Scan all 2^n subsets; only usable for small instances."""
     best = 0
@@ -260,18 +274,32 @@ class TestSharpBound:
             assert k3_sharp_upper_bound(x) == optimum, x
 
     @pytest.mark.parametrize("x, unrestricted", [(48, 1), (50, 0), (52, 0), (60, 0), (66, 0)])
-    def test_initial_solve_only_in_the_perfect_case(self, monkeypatch, x, unrestricted):
-        # x = 48 (m = 8) is perfect, so geh falls one short and the optimum needs a solve.
-        lower_bounds = []
-
-        def recording_milp(**kwargs):
-            lower_bounds.append(np.copy(kwargs["bounds"].lb))  # the oracle updates its array in place
-            return milp(**kwargs)
-
-        monkeypatch.setattr(oracle, "milp", recording_milp)
+    def test_initial_solve_only_in_the_perfect_case(self, milp_calls, x, unrestricted):
+        # x = 48 (m = 8) is perfect, so geh falls one short and the optimum
+        # needs a solve: an exact cover, whose 8 members the cap proves optimal.
         cert = max_disjoint_packing(enumerate_admissible_diffsets(x))
         assert cert.count == k3_sharp_upper_bound(x)
-        assert sum(not np.any(lb) for lb in lower_bounds) == unrestricted
+        assert [form for form, lb in milp_calls if not np.any(lb)] == ["cover"] * unrestricted
+
+    @pytest.mark.parametrize("x, dropped, optimum", [(30, 30, 4), (48, 2, 7)])
+    def test_perfect_case_without_exact_cover_falls_back(self, milp_calls, x, dropped, optimum):
+        # A family meeting the cap m uses every even value up to 6m, so without
+        # the sets holding one of them the optimum is at most m - 1; a valid
+        # certificate of m - 1 members shows it is exactly that.
+        cands = tuple(ds for ds in enumerate_admissible_diffsets(x).candidates if dropped not in ds)
+        cert = max_disjoint_packing(PackingInstance(x, cands))
+        cert.validate()
+        assert cert.count == optimum == k3_sharp_upper_bound(x) - 1
+        # The infeasible cover, then one unrestricted maximum; any later calls are extraction's.
+        assert [(form, np.any(lb)) for form, lb in milp_calls[:2]] == [("cover", False), ("max", False)]
+        assert all(np.any(lb) for _, lb in milp_calls[2:])
+
+    def test_cover_with_fewer_members_than_the_cap_falls_back(self, milp_calls):
+        # {2, 4, 6} alone exactly covers its own values, four members short of
+        # the cap 5, so the cover proves nothing and the maximum is solved for.
+        cert = max_disjoint_packing(PackingInstance(30, (frozenset({2, 4, 6}),)))
+        assert cert.count == 1
+        assert [form for form, _ in milp_calls] == ["cover", "max"]
 
     @pytest.mark.parametrize(
         "x, candidates",
@@ -318,6 +346,12 @@ class TestRelaxation:
         monkeypatch.setattr(oracle, "milp", lambda **kwargs: solves.append(1) or milp(**kwargs))
         assert max_disjoint_packing(enumerate_admissible_diffsets(48)).count == 8
         assert len(solves) <= 5  # the initial solve plus a few the LP leaves open
+
+    def test_reused_duals_spare_most_lp_calls(self, oracle_calls):
+        # Each LP's duals keep bounding the restricted optimum as bounds tighten,
+        # so most rejections need no new LP (57 calls at x = 72 without the reuse).
+        assert max_disjoint_packing(enumerate_admissible_diffsets(72)).count == 12
+        assert oracle_calls.count("linprog") <= 30
 
     @settings(max_examples=100, deadline=None)
     @given(
