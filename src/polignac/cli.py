@@ -181,12 +181,12 @@ def _build_parser() -> _Parser:
         "exact",
         help="exhaustive maximum packing (k = 3)",
         description="The optimum is proven in closed form and met by the geh family, except when"
-        " x mod 6 is 0 or 1 and m = x // 6 is 0 or 1 mod 4: there an exact-cover integer"
-        " program finds a family of m members, and the cap proves it optimal. Solve time is"
-        " not monotone in x: x = 100 takes about 0.3 s, but x = 114 takes about 30 s and"
-        " x = 132 about 60 s in-process on a 2-vCPU VM, nearly all of it in integer programs"
-        " the LP relaxation cannot settle during extraction. No time bound is known above"
-        " x = 132: x = 300 ran for more than 11 minutes without finishing.",
+        " x mod 6 is 0 or 1 and m = x // 6 is 0 or 1 mod 4, where it is m, one more. Every"
+        " integer program asks whether a disjoint family of at least a target size exists,"
+        " with rows taken from the cap's proof, and any family it finds is checked. Solve"
+        " time grows with x but not monotonically: x = 132 takes about 1 s, and every even"
+        " x up to 322 took at most 60 s (x = 320) in-process on a 2-vCPU VM; an odd x"
+        " takes as long as x - 1.",
     )
     q.add_argument("--x", type=int, required=True, help=f"at most {oracle.EXACT_MAX_X}")
     q.set_defaults(run=_pack_exact)

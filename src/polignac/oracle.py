@@ -1,20 +1,15 @@
 """Exact ground truth at desk scale: enumerate all size-3 admissible
 difference sets in [1, x] and find a maximum disjoint subfamily.
 
-Any other instance, or one repeating a set, is refused. A closed-form cap on
-the optimum is proven (``k3_sharp_upper_bound``), and outside its "perfect"
-case the geh family attains it, so the optimum needs no solve and geh is the
-first witness. In the perfect case a family meeting the cap uses every
-value exactly once, so a checked 0/1 integer program (HiGHS via scipy) over
-one incidence matrix asks for such an exact cover, and the cap proves the one
-it finds optimal; only when there is none is the optimum solved for, between
-the geh family's size and the cap. The certificate is the lexicographically
-first optimum in canonical order: a candidate is committed iff some optimum
-agreeing with every earlier decision contains it. Most candidates forced in
-are settled by the LP relaxation: its duals give an upper bound on the
-restricted optimum that is evaluated in exact integer arithmetic and holds
-for any duals, so the last LP's duals are tried before a new LP runs, and an
-integral LP vector is checked like any solver vector. Only the rest need an
+Any other instance, or one repeating a set, is refused. Every integer
+program (HiGHS via scipy, over one incidence matrix) asks one question: is
+there a disjoint family of at least ``target`` members within the bounds?
+Its rows carry what the proof of the cap ``k3_sharp_upper_bound`` says such
+a family uses, and each answer found is checked. The certificate is the
+lexicographically first optimum in canonical order: a candidate is committed
+iff some optimum agreeing with every earlier decision contains it. Most
+candidates forced in are settled by the LP relaxation, whose duals give an
+upper bound evaluated in exact integer arithmetic; only the rest need an
 integer program.
 """
 
@@ -82,26 +77,39 @@ def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, vector)
     return set(np.flatnonzero(chosen).tolist())
 
 
-def _solve(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, cover: bool = False) -> set[int] | None:
-    """Columns of a maximum disjoint family within the bounds; the solver vector is checked.
+def _row_lower(x: int, values: list[int], target: int) -> np.ndarray:
+    """Lower bounds on the value rows that every family of at least target members meets.
 
-    With cover, the family must also use every value exactly once, and None
-    means the solver proved that no such family exists.
+    Let m = x // 6. By ``k3_sharp_upper_bound``'s proof every candidate holds
+    a multiple of 6, so a disjoint family has at most m members. When target
+    = m, each member then holds exactly one of the m multiples of 6, so every
+    multiple-of-6 row is 1, and no member is a pair {a, 2a} (6 | a: it holds
+    two). If also x mod 6 is 0 or 1, the 3m values are all the x // 2 even
+    values <= x, so every row is 1. For any other target the rows are 0.
     """
+    if target != x // 6:
+        return np.zeros(len(values))
+    return np.array([x % 6 in (0, 1) or v % 6 == 0 for v in values], dtype=float)
+
+
+def _solve(
+    incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int, row_lower: np.ndarray
+) -> set[int] | None:
+    """Columns of a checked disjoint family of >= target members in bounds; None if HiGHS finds it infeasible."""
+    count = LinearConstraint(np.ones((1, incidence.shape[1])), target, np.inf)
     result = milp(
-        c=-np.ones(incidence.shape[1]),
-        constraints=LinearConstraint(incidence, int(cover), 1),
+        c=np.zeros(incidence.shape[1]),
+        constraints=[LinearConstraint(incidence, row_lower, 1), count],
         integrality=1,
         bounds=Bounds(lower, upper),
-        options={"mip_rel_gap": 0},  # prove optimality exactly, not to HiGHS's default gap
     )
+    if result.status == 2:  # infeasible: no such family
+        return None
     if not result.success:
-        if cover and result.status == 2:  # infeasible: no exact cover
-            return None
         raise InvariantViolation(f"integer program failed: {result.message}")
     found = _family(incidence, lower, upper, result.x)
-    if found is None:
-        raise InvariantViolation("solver vector is not a disjoint 0/1 family in bounds")
+    if found is None or len(found) < target:
+        raise InvariantViolation(f"solver vector is not a disjoint 0/1 family of at least {target} members in bounds")
     return found
 
 
@@ -159,27 +167,19 @@ def _relaxation(
 def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     """Maximum-cardinality disjoint subfamily of the instance's candidates.
 
+    x must be positive and every candidate a distinct admissible size-3
+    difference set in [1, x]; otherwise an InvariantViolation, naming the
+    first bad candidate, is raised before any solve. The first witness is
+    the geh members among the candidates, checked like any solver vector.
+    While it is below the cap ``k3_sharp_upper_bound(x)``, an integer program
+    asks for a family of one member more; "infeasible" makes it optimal.
+
     Among all optima, returns the lexicographically first in canonical order.
     A fitting candidate in the witness (an optimum agreeing with every decision
     so far) is committed with no solve; any other is forced in and committed
-    iff the restricted optimum still reaches the target, that solution becoming
-    the witness. The LP relaxation settles that first (see ``_relaxation``):
-    any duals give a valid bound, so the last LP's duals are kept and reject
-    what they can before a new LP runs. Only what it leaves open is solved as
-    an integer program.
-
-    x must be positive and every candidate a distinct admissible size-3
-    difference set in [1, x]; otherwise an InvariantViolation, naming the
-    first bad candidate, is raised before any solve. The optimum then lies
-    between two proven bounds: the geh members among the candidates, since
-    geh is disjoint (max(0, (x-2)//6) of them for an enumerated instance),
-    and ``k3_sharp_upper_bound(x)``. When they meet, the geh members are the
-    first witness, checked like any solver vector. Otherwise (the perfect
-    case, where the cap m leaves geh one short) any m-member family uses every
-    value exactly once, so an integer program first asks for an exact cover:
-    one of m members is a witness the cap proves optimal. When there is none,
-    or it has fewer members (possible only for a hand-built instance), an
-    integer program finds the optimum, and it is checked against both bounds.
+    iff a family of the optimum's size still exists, which becomes the witness.
+    The LP relaxation settles that first (see ``_relaxation``); only what it
+    leaves open is asked of an integer program.
     """
     if instance.x < 1:
         raise InvariantViolation(f"x = {instance.x} is not positive")
@@ -192,24 +192,24 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
             )
         seen.add(ds)
     n = len(cands)
+    if not n:
+        return PackingCertificate(3, instance.x, (), raw_count=0)
     values = sorted({v for ds in cands for v in ds})
     incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
     lower, upper = np.zeros(n), np.ones(n)  # lower 1: committed; upper 0: rejected
-    witness, floor, cap = set(), 0, 0
-    if n:
-        geh = {ds for _, ds in geh_family(instance.x).members}
-        floor, cap = len(geh.intersection(cands)), k3_sharp_upper_bound(instance.x)
-        if floor == cap:
-            witness = _family(incidence, lower, upper, np.array([ds in geh for ds in cands], dtype=float))
-            if witness is None:
-                raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
-        else:
-            witness = _solve(incidence, lower, upper, cover=True)
-            if witness is None or len(witness) < cap:
-                witness = _solve(incidence, lower, upper)
+    geh = {ds for _, ds in geh_family(instance.x).members}
+    witness = _family(incidence, lower, upper, np.array([ds in geh for ds in cands], dtype=float))
+    if witness is None:
+        raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
+    cap = k3_sharp_upper_bound(instance.x)
+    while len(witness) < cap:
+        found = _solve(incidence, lower, upper, len(witness) + 1, _row_lower(instance.x, values, len(witness) + 1))
+        if found is None:
+            break
+        witness = found
     target = len(witness)
-    if not floor <= target <= cap:
-        raise InvariantViolation(f"optimum {target} is outside the proven bounds [{floor}, {cap}]")
+    if target > cap:
+        raise InvariantViolation(f"a family of {target} members beats the proven cap {cap}")
     used: set[int] = set()
     duals = None
     for i in range(n):
@@ -222,7 +222,7 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
         if i not in witness:
             found, duals = _relaxation(incidence, lower, upper, target, duals)
             if found is None:
-                found = _solve(incidence, lower, upper)
+                found = _solve(incidence, lower, upper, target, _row_lower(instance.x, values, target)) or set()
             if len(found) > target:
                 raise InvariantViolation("a restricted solve beat the optimum")
             if len(found) < target:

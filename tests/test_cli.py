@@ -193,21 +193,22 @@ class TestPack:
     def test_exact_help_states_its_bound(self):
         text = " ".join(run_command(["pack", "exact", "-h"]).payload["help"].split())
         assert f"--x X at most {oracle.EXACT_MAX_X}" in text
-        assert "x = 114 takes" in text
-        assert "No time bound is known above x = 132" in text
+        assert "every even x up to 322 took at most" in text
+        assert "an odd x takes as long as x - 1" in text
 
     def test_exact_suboptimal_solver_answer_exits_2(self, capsys, monkeypatch):
-        # One disjoint member is a valid family in bounds, but geh has 7 at x = 48.
+        # One disjoint member is a valid family in bounds, but geh has 7 at x = 48
+        # and the integer program is asked for 8.
         def one_member(**kwargs):
             vector = np.zeros(len(kwargs["c"]))
             vector[0] = 1
-            return SimpleNamespace(success=True, x=vector)
+            return SimpleNamespace(status=0, success=True, x=vector)
 
         monkeypatch.setattr(oracle, "milp", one_member)
         assert main(["pack", "exact", "--x", "48", "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "proven bounds" in captured.err
+        assert "family of at least 8 members" in captured.err
 
 
 class TestUpper:

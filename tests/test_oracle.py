@@ -43,13 +43,16 @@ def oracle_calls(monkeypatch):
 
 @pytest.fixture
 def milp_calls(monkeypatch):
-    """Each integer program as (form, variable lower bounds): "cover" when every value must be used."""
+    """Each integer program as (target, value row lower bounds, committed columns), with its answer."""
     calls = []
 
     def recording_milp(**kwargs):
-        form = "cover" if np.all(kwargs["constraints"].lb == 1) else "max"
-        calls.append((form, np.copy(kwargs["bounds"].lb)))  # the oracle updates its array in place
-        return milp(**kwargs)
+        rows, count = kwargs["constraints"]
+        result = milp(**kwargs)
+        found = None if result.status == 2 else int(np.round(result.x).sum())
+        committed = tuple(np.flatnonzero(kwargs["bounds"].lb).tolist())  # read now: the oracle updates it in place
+        calls.append((int(count.lb[0]), tuple(rows.lb.tolist()), committed, found))
+        return result
 
     monkeypatch.setattr(oracle, "milp", recording_milp)
     return calls
@@ -209,11 +212,12 @@ class TestMaxDisjointPacking:
             [0.5, 0.5, 0, 0, 0, 0],  # fractional
             [1, 1, 0, 0, 0, 0],  # {2,4,6} and {2,6,8} both use 2 and 6
             [-1, 0, 0, 0, 0, 0],  # integral and disjoint, but below its bound
+            [0, 0, 0, 0, 0, 0],  # a disjoint 0/1 family in bounds, but below the target 1
         ],
     )
     def test_rejects_bad_solver_vector(self, monkeypatch, vector):
-        # The objective value is the true optimum at x=12, so only the vector is wrong.
-        fake = SimpleNamespace(success=True, x=np.array(vector, dtype=float), fun=-1.0)
+        # The solver reports success, so only the vector is wrong.
+        fake = SimpleNamespace(status=0, success=True, x=np.array(vector, dtype=float))
         monkeypatch.setattr(oracle, "milp", lambda **kwargs: fake)
         # geh is the first witness at x=12, so an LP that never solves is what
         # sends the forced candidate {2,4,6} to the faked integer program.
@@ -222,18 +226,25 @@ class TestMaxDisjointPacking:
             max_disjoint_packing(enumerate_admissible_diffsets(12))
 
     def test_solves_with_zero_relative_gap(self, monkeypatch):
-        gaps = []
+        # Every integer program is a feasibility question with a zero objective,
+        # so any family it finds is optimal for it: there is no gap to close.
+        targets = []
 
         def recording_milp(**kwargs):
-            gaps.append(kwargs.get("options", {}).get("mip_rel_gap"))
-            return milp(**kwargs)
+            assert not np.any(kwargs["c"]) and "options" not in kwargs
+            rows, count = kwargs["constraints"]
+            assert np.all(count.A == 1) and count.ub[0] == np.inf
+            targets.append(count.lb[0])
+            result = milp(**kwargs)
+            assert result.x is None or np.round(result.x).sum() >= count.lb[0]
+            return result
 
         monkeypatch.setattr(oracle, "milp", recording_milp)
         # An LP that never solves sends every forced candidate to the integer program.
         monkeypatch.setattr(oracle, "linprog", lambda **kwargs: SimpleNamespace(status=4))
         assert max_disjoint_packing(enumerate_admissible_diffsets(30)).count == 5
-        assert len(gaps) > 1
-        assert all(gap == 0 for gap in gaps)
+        assert len(targets) > 1
+        assert all(target == 5 for target in targets)
 
     def test_dominates_constructions_and_respects_cap(self):
         for x in (12, 24, 36, 48, 60):
@@ -264,42 +275,77 @@ class TestSharpBound:
     """The closed-form optimum, and the geh witness it lets the oracle use."""
 
     def test_equals_the_integer_program_optimum(self):
+        # Two-sided: a family meets the cap, and the integer program finds none
+        # above it, with no value rows, so the cap's own proof is not assumed.
         for x in range(1, 73):
+            cap = k3_sharp_upper_bound(x)
             cands = enumerate_admissible_diffsets(x).candidates
-            optimum = 0
-            if cands:
-                values = sorted(set().union(*cands))
-                incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
-                optimum = len(oracle._solve(incidence, np.zeros(len(cands)), np.ones(len(cands))))
-            assert k3_sharp_upper_bound(x) == optimum, x
+            if not cands:
+                assert cap == 0, x
+                continue
+            values = sorted(set().union(*cands))
+            incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
+            lower, upper = np.zeros(len(cands)), np.ones(len(cands))
+            assert len(oracle._solve(incidence, lower, upper, cap, oracle._row_lower(x, values, cap))) == cap, x
+            assert oracle._solve(incidence, lower, upper, cap + 1, np.zeros(len(values))) is None, x
+
+    def test_family_above_the_cap_is_refused(self, monkeypatch):
+        # geh's 7 members at x = 48 beat a cap of 6, so that cap cannot be proven.
+        monkeypatch.setattr(oracle, "k3_sharp_upper_bound", lambda x: 6)
+        with pytest.raises(InvariantViolation, match="a family of 7 members beats the proven cap 6"):
+            max_disjoint_packing(enumerate_admissible_diffsets(48))
+
+    def test_rows_cut_off_no_family(self):
+        # Every disjoint family of m = x // 6 members, found by brute force, uses
+        # each value whose row is 1; at any other target the rows are 0.
+        for x in range(1, 25):
+            cands = enumerate_admissible_diffsets(x).candidates
+            values = sorted(set().union(*cands))
+            m = x // 6
+            rows = oracle._row_lower(x, values, m)
+            families = 0
+            for combo in combinations(cands, m):
+                used = [v for ds in combo for v in ds]
+                if len(used) == len(set(used)):
+                    families += 1
+                    assert all(v in used for v, row in zip(values, rows) if row), (x, combo)
+            assert (families > 0) == (k3_sharp_upper_bound(x) == m), x
+            for target in range(m):
+                assert not oracle._row_lower(x, values, target).any(), (x, target)
 
     @pytest.mark.parametrize("x, unrestricted", [(48, 1), (50, 0), (52, 0), (60, 0), (66, 0)])
     def test_initial_solve_only_in_the_perfect_case(self, milp_calls, x, unrestricted):
-        # x = 48 (m = 8) is perfect, so geh falls one short and the optimum
-        # needs a solve: an exact cover, whose 8 members the cap proves optimal.
+        # x = 48 (m = 8) is perfect, so geh falls one short and one question
+        # is asked before extraction: 8 members, each value used exactly once.
         cert = max_disjoint_packing(enumerate_admissible_diffsets(x))
         assert cert.count == k3_sharp_upper_bound(x)
-        assert [form for form, lb in milp_calls if not np.any(lb)] == ["cover"] * unrestricted
+        initial = [(target, set(rows), found) for target, rows, committed, found in milp_calls if not committed]
+        assert initial == [(8, {1.0}, 8)] * unrestricted
 
     @pytest.mark.parametrize("x, dropped, optimum", [(30, 30, 4), (48, 2, 7)])
     def test_perfect_case_without_exact_cover_falls_back(self, milp_calls, x, dropped, optimum):
         # A family meeting the cap m uses every even value up to 6m, so without
-        # the sets holding one of them the optimum is at most m - 1; a valid
+        # the sets holding one of them the optimum falls back to m - 1; a valid
         # certificate of m - 1 members shows it is exactly that.
         cands = tuple(ds for ds in enumerate_admissible_diffsets(x).candidates if dropped not in ds)
         cert = max_disjoint_packing(PackingInstance(x, cands))
         cert.validate()
         assert cert.count == optimum == k3_sharp_upper_bound(x) - 1
-        # The infeasible cover, then one unrestricted maximum; any later calls are extraction's.
-        assert [(form, np.any(lb)) for form, lb in milp_calls[:2]] == [("cover", False), ("max", False)]
-        assert all(np.any(lb) for _, lb in milp_calls[2:])
+        # Ascending from the geh members left: each question asks for one more,
+        # with every row 1 at the cap, until the first "infeasible".
+        initial = [(target, set(rows), found) for target, rows, committed, found in milp_calls if not committed]
+        if x == 30:  # all 4 geh members lack 30
+            assert initial == [(5, {1.0}, None)]
+        else:  # geh's member holding 2 is dropped, leaving 6
+            assert initial == [(7, {0.0}, 7), (8, {1.0}, None)]
+        assert all(committed for _, _, committed, _ in milp_calls[len(initial) :])  # extraction's
 
     def test_cover_with_fewer_members_than_the_cap_falls_back(self, milp_calls):
-        # {2, 4, 6} alone exactly covers its own values, four members short of
-        # the cap 5, so the cover proves nothing and the maximum is solved for.
+        # {2, 4, 6} is no geh member, so the witness starts empty: one member is
+        # found, and two, still short of the cap 5, are infeasible.
         cert = max_disjoint_packing(PackingInstance(30, (frozenset({2, 4, 6}),)))
         assert cert.count == 1
-        assert [form for form, _ in milp_calls] == ["cover", "max"]
+        assert [(target, found) for target, _, _, found in milp_calls] == [(1, 1), (2, None)]
 
     @pytest.mark.parametrize(
         "x, candidates",
