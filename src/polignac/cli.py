@@ -182,8 +182,9 @@ def _build_parser() -> _Parser:
         help="exhaustive maximum packing (k = 3)",
         description="The optimum is proven in closed form and met by the geh family, except when"
         " x mod 6 is 0 or 1 and m = x // 6 is 0 or 1 mod 4, where it is m, one more. Every"
-        " integer program asks whether a disjoint family of at least a target size exists,"
-        " with rows taken from the cap's proof, and any family it finds is checked. Solve"
+        " decision asks whether a disjoint family of at least a target size exists: an exact"
+        " LP dual bound can say no, a checked LP or integer-program family says yes, and only"
+        " an integer program's 'infeasible' is taken from the solver on trust. Solve"
         " time grows with x but not monotonically: x = 132 takes about 1 s, and every even"
         " x up to 322 took at most 60 s (x = 320) in-process on a 2-vCPU VM; an odd x"
         " takes as long as x - 1.",
@@ -194,7 +195,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("upper", help="packing density upper bounds")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help=f"trivial density cap 1/(2(k-1)), k in [2, {sieve.PRIMORIAL_MAX_K}]")
-    group.add_argument("--x", type=int, help="cap on a disjoint family of size-3 difference sets in [1, x]")
+    group.add_argument("--x", type=int, help="cap on a disjoint family of admissible size-3 difference sets in [1, x]")
     p.set_defaults(run=_upper)
 
     p = sub.add_parser(

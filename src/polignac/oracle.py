@@ -1,16 +1,15 @@
 """Exact ground truth at desk scale: enumerate all size-3 admissible
 difference sets in [1, x] and find a maximum disjoint subfamily.
 
-Any other instance, or one repeating a set, is refused. Every integer
-program (HiGHS via scipy, over one incidence matrix) asks one question: is
-there a disjoint family of at least ``target`` members within the bounds?
-Its rows carry what the proof of the cap ``k3_sharp_upper_bound`` says such
-a family uses, and each answer found is checked. The certificate is the
+Any other instance, or one repeating a set, is refused. Every decision is
+one question to ``_ask``: is there a disjoint family of at least ``target``
+members within the bounds? The LP relaxation's duals give an exact integer
+bound that can say "no", and a checked LP or integer-program vector says
+"yes"; only an integer program's "infeasible" is taken from HiGHS on trust.
+The integer program's rows carry what the proof of the cap
+``k3_sharp_upper_bound`` says such a family uses. The certificate is the
 lexicographically first optimum in canonical order: a candidate is committed
-iff some optimum agreeing with every earlier decision contains it. Most
-candidates forced in are settled by the LP relaxation, whose duals give an
-upper bound evaluated in exact integer arithmetic; only the rest need an
-integer program.
+iff some optimum agreeing with every earlier decision contains it.
 """
 
 from __future__ import annotations
@@ -92,27 +91,6 @@ def _row_lower(x: int, values: list[int], target: int) -> np.ndarray:
     return np.array([x % 6 in (0, 1) or v % 6 == 0 for v in values], dtype=float)
 
 
-def _solve(
-    incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int, row_lower: np.ndarray
-) -> set[int] | None:
-    """Columns of a checked disjoint family of >= target members in bounds; None if HiGHS finds it infeasible."""
-    count = LinearConstraint(np.ones((1, incidence.shape[1])), target, np.inf)
-    result = milp(
-        c=np.zeros(incidence.shape[1]),
-        constraints=[LinearConstraint(incidence, row_lower, 1), count],
-        integrality=1,
-        bounds=Bounds(lower, upper),
-    )
-    if result.status == 2:  # infeasible: no such family
-        return None
-    if not result.success:
-        raise InvariantViolation(f"integer program failed: {result.message}")
-    found = _family(incidence, lower, upper, result.x)
-    if found is None or len(found) < target:
-        raise InvariantViolation(f"solver vector is not a disjoint 0/1 family of at least {target} members in bounds")
-    return found
-
-
 def _dual_bound(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, marginals) -> int:
     """DUAL_SCALE times an upper bound on the restricted optimum, in exact integers.
 
@@ -132,36 +110,53 @@ def _dual_bound(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, mar
     return int(scaled.sum() + np.maximum(reduced * lo, reduced * hi).sum())
 
 
-def _relaxation(
-    incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int, duals: np.ndarray | None
+def _ask(
+    incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int, row_lower: np.ndarray, duals
 ) -> tuple[set[int] | None, np.ndarray | None]:
-    """Settle a forced candidate with the LP relaxation, where it can.
+    """Columns of a checked disjoint family of >= target members in bounds, or None if there is none.
 
     duals are the marginals of an earlier LP over the same incidence, or
-    None. ``_dual_bound`` holds for any y, so they are tried first and the LP
-    runs only when they fail to reject. Returns set() when a dual bound
-    proves the restricted optimum is below target, the LP vector's family
-    when it is one of at least target members, and None when the integer
-    program must decide; with it, the duals to try next. Nothing the LP
-    returns is trusted: a bad dual can only fail to reject, a bad vector
-    fails the check.
+    None; the duals to try next are returned with the answer. The question
+    goes, in order, to (1) those duals, since ``_dual_bound`` holds for any
+    y; (2) a fresh LP relaxation, whose dual bound can say "no" and whose
+    vector, if ``_family`` accepts it with >= target members, says "yes";
+    the LP omits the value rows, so its bound is the plain relaxation's;
+    (3) an integer program with a zero objective, value rows in [row_lower,
+    1] and a count row sum(z) >= target, whose vector must pass the same
+    check or raise InvariantViolation. Its "infeasible" (HiGHS status 2) is
+    the one answer taken on trust; a bad dual can only fail to reject.
     """
     if duals is not None and _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
-        return set(), duals
-    result = linprog(
+        return None, duals
+    lp = linprog(
         c=-np.ones(incidence.shape[1]),
         A_ub=incidence,
         b_ub=np.ones(incidence.shape[0]),
         bounds=np.column_stack((lower, upper)),
         method="highs",
     )
-    if result.status != 0:
+    if lp.status == 0:
+        duals = lp.ineqlin.marginals
+        if _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
+            return None, duals
+        found = _family(incidence, lower, upper, lp.x)
+        if found is not None and len(found) >= target:
+            return found, duals
+    count = LinearConstraint(np.ones((1, incidence.shape[1])), target, np.inf)
+    result = milp(
+        c=np.zeros(incidence.shape[1]),
+        constraints=[LinearConstraint(incidence, row_lower, 1), count],
+        integrality=1,
+        bounds=Bounds(lower, upper),
+    )
+    if result.status == 2:  # infeasible: no such family
         return None, duals
-    duals = result.ineqlin.marginals
-    if _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
-        return set(), duals
+    if not result.success:
+        raise InvariantViolation(f"integer program failed: {result.message}")
     found = _family(incidence, lower, upper, result.x)
-    return (found if found is not None and len(found) >= target else None), duals
+    if found is None or len(found) < target:
+        raise InvariantViolation(f"solver vector is not a disjoint 0/1 family of at least {target} members in bounds")
+    return found, duals
 
 
 def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
@@ -171,15 +166,14 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     difference set in [1, x]; otherwise an InvariantViolation, naming the
     first bad candidate, is raised before any solve. The first witness is
     the geh members among the candidates, checked like any solver vector.
-    While it is below the cap ``k3_sharp_upper_bound(x)``, an integer program
-    asks for a family of one member more; "infeasible" makes it optimal.
+    While it is below the cap ``k3_sharp_upper_bound(x)``, ``_ask`` is asked
+    for a family of one member more; its first "no" makes the witness optimal.
 
     Among all optima, returns the lexicographically first in canonical order.
     A fitting candidate in the witness (an optimum agreeing with every decision
     so far) is committed with no solve; any other is forced in and committed
-    iff a family of the optimum's size still exists, which becomes the witness.
-    The LP relaxation settles that first (see ``_relaxation``); only what it
-    leaves open is asked of an integer program.
+    iff ``_ask`` finds a family of the optimum's size, which becomes the
+    witness. The LP duals carry over from each question to the next.
     """
     if instance.x < 1:
         raise InvariantViolation(f"x = {instance.x} is not positive")
@@ -202,16 +196,18 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     if witness is None:
         raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
     cap = k3_sharp_upper_bound(instance.x)
+    duals = None
     while len(witness) < cap:
-        found = _solve(incidence, lower, upper, len(witness) + 1, _row_lower(instance.x, values, len(witness) + 1))
+        target = len(witness) + 1
+        found, duals = _ask(incidence, lower, upper, target, _row_lower(instance.x, values, target), duals)
         if found is None:
             break
         witness = found
     target = len(witness)
     if target > cap:
         raise InvariantViolation(f"a family of {target} members beats the proven cap {cap}")
+    rows = _row_lower(instance.x, values, target)
     used: set[int] = set()
-    duals = None
     for i in range(n):
         if lower.sum() == target:
             break
@@ -220,14 +216,12 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
             continue
         lower[i] = 1
         if i not in witness:
-            found, duals = _relaxation(incidence, lower, upper, target, duals)
+            found, duals = _ask(incidence, lower, upper, target, rows, duals)
             if found is None:
-                found = _solve(incidence, lower, upper, target, _row_lower(instance.x, values, target)) or set()
-            if len(found) > target:
-                raise InvariantViolation("a restricted solve beat the optimum")
-            if len(found) < target:
                 lower[i] = upper[i] = 0
                 continue
+            if len(found) > target:
+                raise InvariantViolation("a restricted solve beat the optimum")
             witness = found
         used |= cands[i]
     chosen = np.flatnonzero(lower).tolist()

@@ -5,7 +5,7 @@ each candidate disjoint from everything kept before it. The size-3 family
 {0, 2n, 2n + a_n}, over the pairs (n, a_n) that assign the multiples of 6
 to the n not divisible by 3, is disjoint and inside [1, x] by construction,
 so it keeps every pair. A finite-interval cap bounds what any disjoint
-family of size-3 difference sets can achieve.
+family of admissible size-3 difference sets can achieve.
 """
 
 from __future__ import annotations
@@ -186,10 +186,12 @@ def geh_family(x: int, strategy: str = EXTENDED) -> PackingCertificate:
 
 
 def k3_finite_upper_bound(x: int) -> int:
-    """Exact cap on any disjoint family of size-3 difference sets in [1, x].
+    """Exact cap on any disjoint family of admissible size-3 difference sets in [1, x].
 
-    All such difference sets are even; two-element sets are multiples of 6
-    (at most floor(x/12) of them) and the rest use three even values each.
+    Admissibility is needed: all such difference sets are even, and a
+    two-element set {a, 2a} is admissible only when 6 | a, so there are at
+    most floor(x/12) of them; the rest use three even values each. Without
+    it the cap fails: (0, 2, 4) gives {2, 4} in [1, 4], yet the cap at 4 is 0.
     """
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from polignac import oracle
 from polignac.admissible import is_admissible
@@ -275,19 +275,26 @@ class TestSharpBound:
     """The closed-form optimum, and the geh witness it lets the oracle use."""
 
     def test_equals_the_integer_program_optimum(self):
-        # Two-sided: a family meets the cap, and the integer program finds none
-        # above it, with no value rows, so the cap's own proof is not assumed.
+        # Two-sided: scipy's maximum-cardinality integer program, asked from
+        # here with no value rows, so neither the cap's proof nor the oracle's
+        # question is assumed, finds a disjoint family of exactly the cap.
         for x in range(1, 73):
             cap = k3_sharp_upper_bound(x)
             cands = enumerate_admissible_diffsets(x).candidates
             if not cands:
                 assert cap == 0, x
                 continue
-            values = sorted(set().union(*cands))
-            incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
-            lower, upper = np.zeros(len(cands)), np.ones(len(cands))
-            assert len(oracle._solve(incidence, lower, upper, cap, oracle._row_lower(x, values, cap))) == cap, x
-            assert oracle._solve(incidence, lower, upper, cap + 1, np.zeros(len(values))) is None, x
+            incidence = np.array([[v in ds for ds in cands] for v in sorted(set().union(*cands))], dtype=np.int64)
+            result = milp(
+                c=-np.ones(len(cands)),
+                constraints=LinearConstraint(incidence, 0, 1),
+                integrality=1,
+                bounds=Bounds(0, 1),
+                options={"mip_rel_gap": 0},
+            )
+            chosen = np.round(result.x)
+            assert result.status == 0 and np.all(incidence @ chosen <= 1), x
+            assert round(-result.fun) == chosen.sum() == cap, x
 
     def test_family_above_the_cap_is_refused(self, monkeypatch):
         # geh's 7 members at x = 48 beat a cap of 6, so that cap cannot be proven.
@@ -332,20 +339,29 @@ class TestSharpBound:
         cert.validate()
         assert cert.count == optimum == k3_sharp_upper_bound(x) - 1
         # Ascending from the geh members left: each question asks for one more,
-        # with every row 1 at the cap, until the first "infeasible".
+        # with every row 1 at the cap, until the first "no". The LP's exact dual
+        # bound gives every "no", so no integer program answers "infeasible".
         initial = [(target, set(rows), found) for target, rows, committed, found in milp_calls if not committed]
         if x == 30:  # all 4 geh members lack 30
-            assert initial == [(5, {1.0}, None)]
+            assert initial == []
         else:  # geh's member holding 2 is dropped, leaving 6
-            assert initial == [(7, {0.0}, 7), (8, {1.0}, None)]
+            assert initial == [(7, {0.0}, 7)]
         assert all(committed for _, _, committed, _ in milp_calls[len(initial) :])  # extraction's
 
-    def test_cover_with_fewer_members_than_the_cap_falls_back(self, milp_calls):
-        # {2, 4, 6} is no geh member, so the witness starts empty: one member is
-        # found, and two, still short of the cap 5, are infeasible.
+    def test_cover_with_fewer_members_than_the_cap_falls_back(self, oracle_calls):
+        # {2, 4, 6} is no geh member, so the witness starts empty: the LP finds
+        # one member, and its dual bound shows two, still short of the cap 5,
+        # do not exist; no integer program runs.
         cert = max_disjoint_packing(PackingInstance(30, (frozenset({2, 4, 6}),)))
         assert cert.count == 1
-        assert [(target, found) for target, _, _, found in milp_calls] == [(1, 1), (2, None)]
+        assert oracle_calls == ["geh_family", "linprog"]
+
+    def test_no_decision_rests_on_an_infeasible_answer(self, milp_calls):
+        # Every "no" up to x = 72 is an exact dual bound: each integer program
+        # that runs finds a checked family, so none is taken on HiGHS's word.
+        for x in range(1, 73):
+            max_disjoint_packing(enumerate_admissible_diffsets(x))
+        assert milp_calls and all(found is not None for *_, found in milp_calls)
 
     @pytest.mark.parametrize(
         "x, candidates",

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polignac import packing
-from polignac.admissible import difference_set, normalize
+from polignac.admissible import difference_set, is_admissible, normalize
 from polignac.packing import (
     EXTENDED,
     PAPER_LITERAL,
@@ -304,3 +304,10 @@ class TestK3FiniteUpperBound:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             k3_finite_upper_bound(-1)
+
+    def test_holds_only_for_admissible_sets(self):
+        # (0, 2, 4) meets every class mod 3, so its one-member family {2, 4}
+        # in [1, 4] is not counted by the cap, which is 0 there.
+        assert difference_set((0, 2, 4)) == {2, 4}
+        assert not is_admissible((0, 2, 4))
+        assert k3_finite_upper_bound(4) == 0
