@@ -10,7 +10,7 @@ rationals with decimal renderings.
 import argparse
 from fractions import Fraction
 
-from polignac.oracle import enumerate_admissible_diffsets, max_disjoint_packing
+from polignac.oracle import max_disjoint_packing
 from polignac.packing import (
     EXTENDED,
     PAPER_LITERAL,
@@ -49,7 +49,7 @@ def main() -> None:
         literal = geh_family(x, PAPER_LITERAL).density
         extended = geh_family(x, EXTENDED).density
         if x <= args.exact_limit:
-            exact = max_disjoint_packing(enumerate_admissible_diffsets(x)).density
+            exact = max_disjoint_packing(x).density
             exact_s = f"{float(exact):.4f}"
         else:
             exact_s = "-"

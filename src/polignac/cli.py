@@ -123,8 +123,7 @@ def _pack_geh(args: argparse.Namespace) -> dict:
 
 
 def _pack_exact(args: argparse.Namespace) -> dict:
-    instance = oracle.enumerate_admissible_diffsets(args.x)
-    return _certificate_payload("pack exact", oracle.max_disjoint_packing(instance))
+    return _certificate_payload("pack exact", oracle.max_disjoint_packing(args.x))
 
 
 def _upper(args: argparse.Namespace) -> dict:
@@ -194,7 +193,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("upper", help="packing density upper bounds")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int, help=f"trivial density cap 1/(2(k-1)), k in [2, {sieve.PRIMORIAL_MAX_K}]")
+    group.add_argument("--k", type=int, help=f"trivial density cap 1/(2(k-1)) on admissible difference sets, k in [2, {sieve.PRIMORIAL_MAX_K}]")
     group.add_argument("--x", type=int, help="cap on a disjoint family of admissible size-3 difference sets in [1, x]")
     p.set_defaults(run=_upper)
 
@@ -204,7 +203,7 @@ def _build_parser() -> _Parser:
         description="At the caps (x = 1e8, dmax = 1000) a census takes about 5 s and 260 MB"
         " peak RSS, measured in-process on a 2-vCPU VM.",
     )
-    p.add_argument("--x", type=int, required=True, help=f"at most {sieve.DEFAULT_CENSUS_LIMIT}")
+    p.add_argument("--x", type=int, required=True, help=f"at most {sieve.CENSUS_MAX_X}")
     p.add_argument("--dmax", type=int, required=True, help=f"even, at most {sieve.CENSUS_MAX_DMAX}")
     p.set_defaults(run=_census)
 

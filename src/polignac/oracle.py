@@ -1,15 +1,18 @@
 """Exact ground truth at desk scale: enumerate all size-3 admissible
 difference sets in [1, x] and find a maximum disjoint subfamily.
 
-Any other instance, or one repeating a set, is refused. Every decision is
-one question to ``_ask``: is there a disjoint family of at least ``target``
-members within the bounds? The LP relaxation's duals give an exact integer
-bound that can say "no", and a checked LP or integer-program vector says
-"yes"; only an integer program's "infeasible" is taken from HiGHS on trust.
-The integer program's rows carry what the proof of the cap
-``k3_sharp_upper_bound`` says such a family uses. The certificate is the
-lexicographically first optimum in canonical order: a candidate is committed
-iff some optimum agreeing with every earlier decision contains it.
+The optimum is the proven cap ``k3_sharp_upper_bound(x)``, attained by a
+checked family: geh's members, or in the perfect case, where geh is one
+short, a family found at the cap. Every decision is one question to
+``_ask``: is there a disjoint family of at least ``target`` members within
+the bounds? The LP relaxation's duals give an exact integer bound that can
+say "no", and a checked LP or integer-program vector says "yes"; only an
+integer program's "infeasible" is taken from HiGHS on trust, and it can
+only reject a candidate during extraction, never lower the optimum. The
+integer program's rows carry what the cap's proof says such a family uses.
+The certificate is the lexicographically first optimum in canonical order:
+a candidate is committed iff some optimum agreeing with every earlier
+decision contains it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ DUAL_SCALE = 2**20
 class PackingInstance:
     """Distinct candidate difference sets in canonical order: by span, then sorted values."""
 
-    x: int
     candidates: tuple[frozenset[int], ...]
 
 
@@ -40,9 +42,9 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     """All distinct difference sets of admissible size-3 patterns with span <= x.
 
     A pattern {0, a, c} (even offsets: an odd one covers both classes mod 2)
-    yields {a, c-a, c}, two elements when a = c/2, and is admissible iff 3
-    divides a, c-a or c (see ``k3_sharp_upper_bound``). Its mirror image
-    {0, c-a, c} has the same set, so looping over c ascending, then even
+    yields {a, c-a, c}, two elements when a = c/2, and is kept iff
+    ``is_admissible`` accepts it. Its mirror image {0, c-a, c} has the same
+    set and the same admissibility, so looping over c ascending, then even
     a <= c/2 ascending, yields each set once, already in canonical order.
     An x outside [1, EXACT_MAX_X] is refused before any set is built.
     """
@@ -51,18 +53,9 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     candidates: list[frozenset[int]] = []
     for c in range(4, x + 1, 2):
         for a in range(2, c // 2 + 1, 2):
-            if a * (c - a) * c % 3 == 0:
+            if is_admissible((0, a, c)):
                 candidates.append(frozenset({a, c - a, c}))
-    return PackingInstance(x, tuple(candidates))
-
-
-def _admissible_k3_diffset(ds: frozenset[int], x: int) -> bool:
-    """Whether ds is the difference set {a, c-a, c} of an admissible pattern
-    {0, a, c} inside [1, x]. Its mirror {0, c-a, c} has the same set and the
-    same admissibility, so {0, min(ds), max(ds)} is the one pattern to test.
-    """
-    a, c = min(ds, default=0), max(ds, default=0)
-    return a >= 1 and c <= x and ds == {a, c - a, c} and is_admissible((0, a, c))
+    return PackingInstance(tuple(candidates))
 
 
 def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, vector) -> set[int] | None:
@@ -76,17 +69,18 @@ def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, vector)
     return set(np.flatnonzero(chosen).tolist())
 
 
-def _row_lower(x: int, values: list[int], target: int) -> np.ndarray:
-    """Lower bounds on the value rows that every family of at least target members meets.
+def _row_lower(x: int, values: list[int]) -> np.ndarray:
+    """Lower bounds on the value rows that every family meeting the cap meets.
 
     Let m = x // 6. By ``k3_sharp_upper_bound``'s proof every candidate holds
-    a multiple of 6, so a disjoint family has at most m members. When target
-    = m, each member then holds exactly one of the m multiples of 6, so every
-    multiple-of-6 row is 1, and no member is a pair {a, 2a} (6 | a: it holds
-    two). If also x mod 6 is 0 or 1, the 3m values are all the x // 2 even
-    values <= x, so every row is 1. For any other target the rows are 0.
+    a multiple of 6, so a disjoint family has at most m members. When the cap
+    is m, each member of such a family holds exactly one of the m multiples
+    of 6, so every multiple-of-6 row is 1, and no member is a pair {a, 2a}
+    (6 | a: it holds two). If also x mod 6 is 0 or 1, the 3m values are all
+    the x // 2 even values <= x, so every row is 1. In the defect case, where
+    the cap is m - 1, the rows are 0.
     """
-    if target != x // 6:
+    if k3_sharp_upper_bound(x) != x // 6:
         return np.zeros(len(values))
     return np.array([x % 6 in (0, 1) or v % 6 == 0 for v in values], dtype=float)
 
@@ -159,15 +153,16 @@ def _ask(
     return found, duals
 
 
-def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
-    """Maximum-cardinality disjoint subfamily of the instance's candidates.
+def max_disjoint_packing(x: int) -> PackingCertificate:
+    """Maximum-cardinality disjoint family of size-3 admissible difference sets in [1, x].
 
-    x must be positive and every candidate a distinct admissible size-3
-    difference set in [1, x]; otherwise an InvariantViolation, naming the
-    first bad candidate, is raised before any solve. The first witness is
-    the geh members among the candidates, checked like any solver vector.
-    While it is below the cap ``k3_sharp_upper_bound(x)``, ``_ask`` is asked
-    for a family of one member more; its first "no" makes the witness optimal.
+    The candidates are ``enumerate_admissible_diffsets(x)``, so x outside [1,
+    EXACT_MAX_X] is refused with ValueError before any solve. The optimum is
+    the proven cap ``k3_sharp_upper_bound(x)``: the first witness is the geh
+    members among the candidates, checked like any solver vector; it meets
+    the cap except in the perfect case, where it is one short and ``_ask`` is
+    asked for a family at the cap. A witness above the cap, or a "no" at it,
+    refutes the proof and raises InvariantViolation.
 
     Among all optima, returns the lexicographically first in canonical order.
     A fitting candidate in the witness (an optimum agreeing with every decision
@@ -175,38 +170,26 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     iff ``_ask`` finds a family of the optimum's size, which becomes the
     witness. The LP duals carry over from each question to the next.
     """
-    if instance.x < 1:
-        raise InvariantViolation(f"x = {instance.x} is not positive")
-    cands = instance.candidates
-    seen: set[frozenset[int]] = set()
-    for i, ds in enumerate(cands):
-        if ds in seen or not _admissible_k3_diffset(ds, instance.x):
-            raise InvariantViolation(
-                f"candidate #{i} {sorted(ds)} is not a distinct admissible size-3 difference set in [1, {instance.x}]"
-            )
-        seen.add(ds)
+    cands = enumerate_admissible_diffsets(x).candidates
     n = len(cands)
     if not n:
-        return PackingCertificate(3, instance.x, (), raw_count=0)
+        return PackingCertificate(3, x, (), raw_count=0)
     values = sorted({v for ds in cands for v in ds})
     incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
     lower, upper = np.zeros(n), np.ones(n)  # lower 1: committed; upper 0: rejected
-    geh = {ds for _, ds in geh_family(instance.x).members}
+    geh = {ds for _, ds in geh_family(x).members}
     witness = _family(incidence, lower, upper, np.array([ds in geh for ds in cands], dtype=float))
     if witness is None:
         raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
-    cap = k3_sharp_upper_bound(instance.x)
+    target = k3_sharp_upper_bound(x)
+    if len(witness) > target:
+        raise InvariantViolation(f"a family of {len(witness)} members beats the proven cap {target}")
+    rows = _row_lower(x, values)
     duals = None
-    while len(witness) < cap:
-        target = len(witness) + 1
-        found, duals = _ask(incidence, lower, upper, target, _row_lower(instance.x, values, target), duals)
-        if found is None:
-            break
-        witness = found
-    target = len(witness)
-    if target > cap:
-        raise InvariantViolation(f"a family of {target} members beats the proven cap {cap}")
-    rows = _row_lower(instance.x, values, target)
+    if len(witness) < target:
+        witness, duals = _ask(incidence, lower, upper, target, rows, duals)
+        if witness is None:
+            raise InvariantViolation(f"no disjoint family meets the proven cap {target}")
     used: set[int] = set()
     for i in range(n):
         if lower.sum() == target:
@@ -228,4 +211,4 @@ def max_disjoint_packing(instance: PackingInstance) -> PackingCertificate:
     if len(chosen) != target:
         raise InvariantViolation("lexicographic extraction missed the optimum")
     members = tuple((f"#{i}", cands[i]) for i in chosen)
-    return PackingCertificate(3, instance.x, members, raw_count=n)
+    return PackingCertificate(3, x, members, raw_count=n)

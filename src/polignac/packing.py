@@ -93,15 +93,18 @@ def lower_bound_density(k: int) -> Fraction:
 
 
 def trivial_upper_bound_density(k: int) -> Fraction:
-    """Cap 1 / (2(k-1)), each difference set needing k-1 distinct even values;
-    k is refused outside [2, PRIMORIAL_MAX_K], the regular family's top k."""
+    """Cap 1 / (2(k-1)) on disjoint admissible difference sets, each needing
+    k-1 distinct even values; k is refused outside [2, PRIMORIAL_MAX_K], the
+    regular family's top k. Admissibility is needed: (0, 1) gives {1}, and the
+    sets {d}, d <= x, are disjoint with density 1 against the cap 1/2 at k = 2."""
     if not 2 <= k <= PRIMORIAL_MAX_K:
         raise ValueError(f"k must be in [2, {PRIMORIAL_MAX_K}], got {k}")
     return Fraction(1, 2 * (k - 1))
 
 
 def k3_upper_bound_density() -> Fraction:
-    """Asymptotic cap 7/36 for disjoint size-3 difference set families."""
+    """Asymptotic cap 7/36 for disjoint families of admissible size-3 difference
+    sets, the limit of ``k3_finite_upper_bound(x) / x``."""
     return Fraction(7, 36)
 
 
@@ -217,7 +220,9 @@ def k3_sharp_upper_bound(x: int) -> int:
 
     geh's (x-2)//6 members attain the bound for every x >= 2 except the
     "perfect" case, x mod 6 in {0, 1} and m mod 4 in {0, 1}, where it has
-    m - 1.
+    m - 1. There ``oracle.max_disjoint_packing`` finds a checked m-member
+    family for every x <= 323, so the cap is the optimum for every such x;
+    beyond 323 equality in the perfect case is unproven.
     """
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")

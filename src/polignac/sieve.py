@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-DEFAULT_CENSUS_LIMIT = 10**8
+CENSUS_MAX_X = 10**8
 CENSUS_MAX_DMAX = 1000
 PRIMORIAL_MAX_K = 1000  # P(1000) has 416 digits, far inside int-to-str's 4300-digit limit
 # Sieve flags 0/1 as the ASCII digits "0"/"1", so int(..., 2) packs them into bits.
@@ -56,9 +56,8 @@ def prime_pair_census(x: int, dmax: int) -> CensusReport:
     ``mask & (mask >> d // 2)`` has bit j set iff both 2j + 1 and 2j + 1 + d
     are primes <= x, and one popcount gives each gap's count. Leaving 2 out
     is exact: for even d >= 2, 2 + d is even and > 2, so 2 is in no pair.
-    DEFAULT_CENSUS_LIMIT caps x and CENSUS_MAX_DMAX caps dmax (one shift,
-    AND and popcount of an x/2-bit integer per gap), both checked before
-    sieving.
+    CENSUS_MAX_X caps x and CENSUS_MAX_DMAX caps dmax (one shift, AND and
+    popcount of an x/2-bit integer per gap), both checked before sieving.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -66,8 +65,8 @@ def prime_pair_census(x: int, dmax: int) -> CensusReport:
         raise ValueError(f"dmax must be a positive even integer, got {dmax}")
     if dmax > CENSUS_MAX_DMAX:
         raise ValueError(f"dmax = {dmax} exceeds the census gap limit {CENSUS_MAX_DMAX}")
-    if x > DEFAULT_CENSUS_LIMIT:
-        raise ValueError(f"x = {x} exceeds the census limit {DEFAULT_CENSUS_LIMIT}")
+    if x > CENSUS_MAX_X:
+        raise ValueError(f"x = {x} exceeds the census limit {CENSUS_MAX_X}")
     # Flags of the odd n from (x - 1) | 1, the largest odd n <= x, down to 1:
     # the last binary digit, bit 0, is n = 1.
     mask = int(_prime_flags(x)[(x - 1) | 1 :: -2].translate(_FLAG_DIGITS), 2)

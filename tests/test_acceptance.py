@@ -103,9 +103,9 @@ def test_criterion_4_exact_oracle():
             frozenset({2, 10, 12}),
             frozenset({4, 8, 12}),
         }
-        assert max_disjoint_packing(inst).count == 1
+        assert max_disjoint_packing(12).count == 1
         for x in (12, 24, 36, 48, 60):
-            optimum = max_disjoint_packing(enumerate_admissible_diffsets(x))
+            optimum = max_disjoint_packing(x)
             optimum.validate()
             assert optimum.count <= k3_finite_upper_bound(x)
             assert optimum.count >= greedy_regular_packing(3, x).count

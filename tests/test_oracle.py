@@ -9,10 +9,10 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from polignac import oracle
 from polignac.admissible import is_admissible
+from polignac.cli import run_command
 from polignac.oracle import (
     DUAL_SCALE,
     EXACT_MAX_X,
-    PackingInstance,
     enumerate_admissible_diffsets,
     max_disjoint_packing,
 )
@@ -23,10 +23,6 @@ from polignac.packing import (
     k3_finite_upper_bound,
     k3_sharp_upper_bound,
 )
-
-X30 = enumerate_admissible_diffsets(30).candidates
-REFUSED = "not a distinct admissible size-3 difference set"
-
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
@@ -73,6 +69,26 @@ def naive_max_packing_size(candidates):
             if len(union) == total:
                 best = max(best, r)
                 break
+    return best
+
+
+def first_maximum_disjoint(candidates):
+    """The lexicographically first of the largest disjoint index combinations.
+
+    Depth-first over increasing indices meets the disjoint combinations in
+    lexicographic order, so the first one found of each size is the first.
+    """
+    best = ()
+
+    def extend(chosen, used, start):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        for j in range(start, len(candidates)):
+            if used.isdisjoint(candidates[j]):
+                extend((*chosen, j), used | candidates[j], j + 1)
+
+    extend((), frozenset(), 0)
     return best
 
 
@@ -142,19 +158,16 @@ class TestEnumerate:
 
 class TestMaxDisjointPacking:
     def test_x12_optimum_is_one(self):
-        cert = max_disjoint_packing(enumerate_admissible_diffsets(12))
+        cert = max_disjoint_packing(12)
         assert cert.count == 1
         assert cert.members[0][1] == {2, 4, 6}
 
-    def test_empty_instance(self):
-        cert = max_disjoint_packing(PackingInstance(10, ()))
-        assert cert.count == 0
-
-    def test_disjoint_pair(self):
-        inst = PackingInstance(
-            18, (frozenset({2, 4, 6}), frozenset({8, 10, 18}))
-        )
-        assert max_disjoint_packing(inst).count == 2
+    def test_empty_instance(self, oracle_calls):
+        # Below span 6 there is no candidate, so neither geh nor a solver runs.
+        for x in range(1, 6):
+            cert = max_disjoint_packing(x)
+            assert (cert.x, cert.members, cert.raw_count) == (x, (), 0)
+        assert oracle_calls == []
 
     def test_cap_enforced(self):
         assert len(enumerate_admissible_diffsets(323).candidates) <= 5000
@@ -166,45 +179,27 @@ class TestMaxDisjointPacking:
         for x in (6, 8, 10, 12, 14):
             inst = enumerate_admissible_diffsets(x)
             assert len(inst.candidates) <= 12
-            cert = max_disjoint_packing(inst)
+            cert = max_disjoint_packing(x)
             cert.validate()
             assert cert.count == naive_max_packing_size(inst.candidates)
 
-    def test_agrees_with_naive_on_truncated_instances(self):
-        full = enumerate_admissible_diffsets(24)
-        inst = PackingInstance(24, full.candidates[:12])
-        cert = max_disjoint_packing(inst)
-        assert cert.count == naive_max_packing_size(inst.candidates)
-
     def test_deterministic(self):
-        inst = enumerate_admissible_diffsets(36)
-        first = max_disjoint_packing(inst)
-        second = max_disjoint_packing(inst)
-        assert first.members == second.members
+        assert max_disjoint_packing(36).members == max_disjoint_packing(36).members
 
     def test_lexicographically_first_optimum(self):
         # At x=24 the span-6 set {2,4,6} is in no optimal packing, so the
         # extraction must skip it.
-        inst = enumerate_admissible_diffsets(24)
-        cert = max_disjoint_packing(inst)
+        cert = max_disjoint_packing(24)
         assert cert.count == 4
         chosen = [int(label[1:]) for label, _ in cert.members]
         assert chosen == sorted(chosen)
         assert 0 not in chosen
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.sets(st.integers(0, len(X30) - 1), max_size=12))
-    def test_certificate_is_first_optimal_combination(self, picked):
-        cands = tuple(X30[i] for i in sorted(picked))
-        r = naive_max_packing_size(cands)
-        first = next(
-            combo
-            for combo in combinations(range(len(cands)), r)
-            if sum(len(cands[j]) for j in combo)
-            == len(set().union(*(cands[j] for j in combo)))
-        )
-        cert = max_disjoint_packing(PackingInstance(30, cands))
-        assert [int(label[1:]) for label, _ in cert.members] == list(first)
+    def test_certificate_is_first_optimal_combination(self):
+        for x in range(1, 31):
+            first = first_maximum_disjoint(enumerate_admissible_diffsets(x).candidates)
+            cert = max_disjoint_packing(x)
+            assert [int(label[1:]) for label, _ in cert.members] == list(first), x
 
     @pytest.mark.parametrize(
         "vector",
@@ -223,9 +218,9 @@ class TestMaxDisjointPacking:
         # sends the forced candidate {2,4,6} to the faked integer program.
         monkeypatch.setattr(oracle, "linprog", lambda **kwargs: SimpleNamespace(status=4))
         with pytest.raises(InvariantViolation):
-            max_disjoint_packing(enumerate_admissible_diffsets(12))
+            max_disjoint_packing(12)
 
-    def test_solves_with_zero_relative_gap(self, monkeypatch):
+    def test_every_integer_program_is_a_feasibility_question(self, monkeypatch):
         # Every integer program is a feasibility question with a zero objective,
         # so any family it finds is optimal for it: there is no gap to close.
         targets = []
@@ -242,13 +237,13 @@ class TestMaxDisjointPacking:
         monkeypatch.setattr(oracle, "milp", recording_milp)
         # An LP that never solves sends every forced candidate to the integer program.
         monkeypatch.setattr(oracle, "linprog", lambda **kwargs: SimpleNamespace(status=4))
-        assert max_disjoint_packing(enumerate_admissible_diffsets(30)).count == 5
+        assert max_disjoint_packing(30).count == 5
         assert len(targets) > 1
         assert all(target == 5 for target in targets)
 
     def test_dominates_constructions_and_respects_cap(self):
         for x in (12, 24, 36, 48, 60):
-            optimum = max_disjoint_packing(enumerate_admissible_diffsets(x)).count
+            optimum = max_disjoint_packing(x).count
             assert optimum <= k3_finite_upper_bound(x)
             assert optimum >= greedy_regular_packing(3, x).count
             assert optimum >= geh_family(x, "paper-literal").count
@@ -261,14 +256,6 @@ class TestMaxDisjointPacking:
             geh = [ds for _, ds in geh_family(x).members]
             assert cands.issuperset(geh)
             assert len(geh) == max(0, (x - 2) // 6)
-
-    def test_optimum_above_multiples_of_6_is_caught(self, oracle_calls):
-        # Three disjoint sets would beat 12 // 6, but {2, 4} is no admissible
-        # difference set, so the instance is refused before any solve.
-        inst = PackingInstance(12, (frozenset({2, 4}), frozenset({8, 10}), frozenset({6, 12})))
-        with pytest.raises(InvariantViolation, match=rf"candidate #0 \[2, 4\] is {REFUSED} in \[1, 12\]"):
-            max_disjoint_packing(inst)
-        assert oracle_calls == []
 
 
 class TestSharpBound:
@@ -300,16 +287,26 @@ class TestSharpBound:
         # geh's 7 members at x = 48 beat a cap of 6, so that cap cannot be proven.
         monkeypatch.setattr(oracle, "k3_sharp_upper_bound", lambda x: 6)
         with pytest.raises(InvariantViolation, match="a family of 7 members beats the proven cap 6"):
-            max_disjoint_packing(enumerate_admissible_diffsets(48))
+            max_disjoint_packing(48)
+
+    def test_no_family_at_the_cap_is_an_invariant_violation(self, monkeypatch):
+        # x = 30 is perfect: geh has 4 members and the cap is 5. An integer
+        # program answering "infeasible" at the cap would refute its proof,
+        # so it raises instead of returning 4.
+        monkeypatch.setattr(oracle, "linprog", lambda **kwargs: SimpleNamespace(status=4))
+        monkeypatch.setattr(oracle, "milp", lambda **kwargs: SimpleNamespace(status=2, success=False))
+        with pytest.raises(InvariantViolation, match="no disjoint family meets the proven cap 5"):
+            max_disjoint_packing(30)
+        assert run_command(["pack", "exact", "--x", "30"]).exit_code == 2
 
     def test_rows_cut_off_no_family(self):
         # Every disjoint family of m = x // 6 members, found by brute force, uses
-        # each value whose row is 1; at any other target the rows are 0.
+        # each value whose row is 1.
         for x in range(1, 25):
             cands = enumerate_admissible_diffsets(x).candidates
             values = sorted(set().union(*cands))
             m = x // 6
-            rows = oracle._row_lower(x, values, m)
+            rows = oracle._row_lower(x, values)
             families = 0
             for combo in combinations(cands, m):
                 used = [v for ds in combo for v in ds]
@@ -317,86 +314,29 @@ class TestSharpBound:
                     families += 1
                     assert all(v in used for v, row in zip(values, rows) if row), (x, combo)
             assert (families > 0) == (k3_sharp_upper_bound(x) == m), x
-            for target in range(m):
-                assert not oracle._row_lower(x, values, target).any(), (x, target)
 
     @pytest.mark.parametrize("x, unrestricted", [(48, 1), (50, 0), (52, 0), (60, 0), (66, 0)])
     def test_initial_solve_only_in_the_perfect_case(self, milp_calls, x, unrestricted):
         # x = 48 (m = 8) is perfect, so geh falls one short and one question
         # is asked before extraction: 8 members, each value used exactly once.
-        cert = max_disjoint_packing(enumerate_admissible_diffsets(x))
+        cert = max_disjoint_packing(x)
         assert cert.count == k3_sharp_upper_bound(x)
         initial = [(target, set(rows), found) for target, rows, committed, found in milp_calls if not committed]
         assert initial == [(8, {1.0}, 8)] * unrestricted
-
-    @pytest.mark.parametrize("x, dropped, optimum", [(30, 30, 4), (48, 2, 7)])
-    def test_perfect_case_without_exact_cover_falls_back(self, milp_calls, x, dropped, optimum):
-        # A family meeting the cap m uses every even value up to 6m, so without
-        # the sets holding one of them the optimum falls back to m - 1; a valid
-        # certificate of m - 1 members shows it is exactly that.
-        cands = tuple(ds for ds in enumerate_admissible_diffsets(x).candidates if dropped not in ds)
-        cert = max_disjoint_packing(PackingInstance(x, cands))
-        cert.validate()
-        assert cert.count == optimum == k3_sharp_upper_bound(x) - 1
-        # Ascending from the geh members left: each question asks for one more,
-        # with every row 1 at the cap, until the first "no". The LP's exact dual
-        # bound gives every "no", so no integer program answers "infeasible".
-        initial = [(target, set(rows), found) for target, rows, committed, found in milp_calls if not committed]
-        if x == 30:  # all 4 geh members lack 30
-            assert initial == []
-        else:  # geh's member holding 2 is dropped, leaving 6
-            assert initial == [(7, {0.0}, 7)]
-        assert all(committed for _, _, committed, _ in milp_calls[len(initial) :])  # extraction's
-
-    def test_cover_with_fewer_members_than_the_cap_falls_back(self, oracle_calls):
-        # {2, 4, 6} is no geh member, so the witness starts empty: the LP finds
-        # one member, and its dual bound shows two, still short of the cap 5,
-        # do not exist; no integer program runs.
-        cert = max_disjoint_packing(PackingInstance(30, (frozenset({2, 4, 6}),)))
-        assert cert.count == 1
-        assert oracle_calls == ["geh_family", "linprog"]
 
     def test_no_decision_rests_on_an_infeasible_answer(self, milp_calls):
         # Every "no" up to x = 72 is an exact dual bound: each integer program
         # that runs finds a checked family, so none is taken on HiGHS's word.
         for x in range(1, 73):
-            max_disjoint_packing(enumerate_admissible_diffsets(x))
+            max_disjoint_packing(x)
         assert milp_calls and all(found is not None for *_, found in milp_calls)
 
-    @pytest.mark.parametrize(
-        "x, candidates",
-        [
-            (10, ({2, 6, 8}, {4}, {10})),  # {4} and {10} are no size-3 difference sets
-            (16, ({2, 12, 14}, {4, 6, 10}, {8, 16})),  # {8, 16} is that of (0, 8, 16), not admissible
-            (10, ({2, 6, 8}, set())),  # empty
-            (30, ({2, 4, 6}, {40, 44, 84})),  # admissible, but above x
-            (12, ({2, 4, 6}, {2, 6, 8}, {2, 4, 6})),  # a repeat
-        ],
-    )
-    def test_geh_witness_needs_checked_candidates(self, oracle_calls, x, candidates):
-        # The closed-form cap, and with it the geh witness, is proven only for
-        # distinct admissible size-3 difference sets in [1, x], so any other
-        # instance is refused before geh or a solver runs.
-        inst = PackingInstance(x, tuple(map(frozenset, candidates)))
-        with pytest.raises(InvariantViolation, match=rf"{REFUSED} in \[1, {x}\]"):
-            max_disjoint_packing(inst)
-        assert oracle_calls == []
-
-    @pytest.mark.parametrize("x, candidates", [(0, ()), (-5, ()), (-5, ({2, 4, 6},))])
-    def test_non_positive_x_refused_before_any_solve(self, oracle_calls, x, candidates):
-        # Left through, x = 0 gave a certificate whose density divides by zero,
-        # and x < 0 one with a negative interval.
-        inst = PackingInstance(x, tuple(map(frozenset, candidates)))
-        with pytest.raises(InvariantViolation, match=f"x = {x} is not positive"):
-            max_disjoint_packing(inst)
-        assert oracle_calls == []
-
-    def test_repeated_geh_member_is_solved(self, oracle_calls):
-        # Both copies are in geh(12), so a geh witness would take them together;
-        # the second copy is refused instead, as PackingInstance asks for distinct sets.
-        inst = PackingInstance(12, (frozenset({2, 6, 8}),) * 2)
-        with pytest.raises(InvariantViolation, match=rf"candidate #1 \[2, 6, 8\] is {REFUSED}"):
-            max_disjoint_packing(inst)
+    @pytest.mark.parametrize("x", [0, -5, EXACT_MAX_X + 1])
+    def test_non_positive_x_refused_before_any_solve(self, oracle_calls, x):
+        # The enumeration refuses x outside [1, 323], so x = 0 never reaches a
+        # certificate whose density divides by zero, nor x < 0 a negative interval.
+        with pytest.raises(ValueError, match=rf"^x must be in \[1, 323\], got {x}$"):
+            max_disjoint_packing(x)
         assert oracle_calls == []
 
 
@@ -406,13 +346,13 @@ class TestRelaxation:
     def test_lp_settles_most_forced_candidates(self, monkeypatch):
         solves = []
         monkeypatch.setattr(oracle, "milp", lambda **kwargs: solves.append(1) or milp(**kwargs))
-        assert max_disjoint_packing(enumerate_admissible_diffsets(48)).count == 8
+        assert max_disjoint_packing(48).count == 8
         assert len(solves) <= 5  # the initial solve plus a few the LP leaves open
 
     def test_reused_duals_spare_most_lp_calls(self, oracle_calls):
         # Each LP's duals keep bounding the restricted optimum as bounds tighten,
         # so most rejections need no new LP (57 calls at x = 72 without the reuse).
-        assert max_disjoint_packing(enumerate_admissible_diffsets(72)).count == 12
+        assert max_disjoint_packing(72).count == 12
         assert oracle_calls.count("linprog") <= 30
 
     @settings(max_examples=100, deadline=None)

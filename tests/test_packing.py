@@ -311,3 +311,10 @@ class TestK3FiniteUpperBound:
         assert difference_set((0, 2, 4)) == {2, 4}
         assert not is_admissible((0, 2, 4))
         assert k3_finite_upper_bound(4) == 0
+
+    def test_trivial_cap_holds_only_for_admissible_sets(self):
+        # (0, 1) meets both classes mod 2, so its set {1}, and with it the
+        # disjoint sets {d} for every d <= x, are not counted by the k = 2 cap 1/2.
+        assert difference_set((0, 1)) == {1}
+        assert not is_admissible((0, 1))
+        assert trivial_upper_bound_density(2) == Fraction(1, 2)
