@@ -331,12 +331,28 @@ class TestSharpBound:
             max_disjoint_packing(x)
         assert milp_calls and all(found is not None for *_, found in milp_calls)
 
-    @pytest.mark.parametrize("x", [0, -5, EXACT_MAX_X + 1])
-    def test_non_positive_x_refused_before_any_solve(self, oracle_calls, x):
-        # The enumeration refuses x outside [1, 323], so x = 0 never reaches a
-        # certificate whose density divides by zero, nor x < 0 a negative interval.
+    @pytest.mark.parametrize("x, candidates", [(0, ()), (-5, ()), (-5, ({2, 4, 6},))])
+    def test_non_positive_x_refused_before_any_solve(self, monkeypatch, oracle_calls, x, candidates):
+        # Left through, x = 0 gave a certificate whose density divides by zero,
+        # and x < 0 one with a negative interval. The refusal comes before the
+        # enumeration tests a single pattern, whatever it would admit: here
+        # exactly the patterns whose difference sets are the given candidates.
+        admits = {frozenset(ds) for ds in candidates}
+        tested = []
+
+        def stub(pattern):
+            tested.append(pattern)
+            _, a, c = pattern
+            return frozenset({a, c - a, c}) in admits
+
+        monkeypatch.setattr(oracle, "is_admissible", stub)
         with pytest.raises(ValueError, match=rf"^x must be in \[1, 323\], got {x}$"):
             max_disjoint_packing(x)
+        assert tested == oracle_calls == []
+
+    def test_x_above_exact_max_refused_before_any_solve(self, oracle_calls):
+        with pytest.raises(ValueError, match=rf"^x must be in \[1, 323\], got {EXACT_MAX_X + 1}$"):
+            max_disjoint_packing(EXACT_MAX_X + 1)
         assert oracle_calls == []
 
 
