@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import combinations
 
 from .sieve import PRIMORIAL_MAX_K, primes_up_to
@@ -35,14 +36,18 @@ def normalize(raw: Iterable[int]) -> tuple[int, ...]:
     return tuple(v - base for v in values)
 
 
+_small_primes = lru_cache(primes_up_to)
+
+
 def is_admissible(offsets: tuple[int, ...]) -> bool:
     """True iff the residues mod p never cover all classes, for every prime p.
 
     Only primes p <= k = len(offsets) need checking: k residues cannot cover
-    p > k classes. The answer depends on neither the order of the offsets nor
-    a common translation, so the pattern need not be normalized.
+    p > k classes, and they are sieved once per k. The answer depends on
+    neither the order of the offsets nor a common translation, so the pattern
+    need not be normalized.
     """
-    for p in primes_up_to(len(offsets)):
+    for p in _small_primes(len(offsets)):
         if len({h % p for h in offsets}) == p:
             return False
     return True

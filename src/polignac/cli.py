@@ -185,8 +185,8 @@ def _build_parser() -> _Parser:
         " LP dual bound can say no, a checked LP or integer-program family says yes, and only"
         " an integer program's 'infeasible' is taken from the solver on trust. Solve"
         " time grows with x but not monotonically: x = 132 takes about 1 s, and every even"
-        " x up to 322 took at most 60 s (x = 320) in-process on a 2-vCPU VM; an odd x"
-        " takes as long as x - 1.",
+        " x up to 322 took at most 52 s (x = 318) in a fresh process per x on a 2-vCPU VM;"
+        " an odd x takes as long as x - 1.",
     )
     q.add_argument("--x", type=int, required=True, help=f"at most {oracle.EXACT_MAX_X}")
     q.set_defaults(run=_pack_exact)

@@ -9,7 +9,10 @@ the bounds? The LP relaxation's duals give an exact integer bound that can
 say "no", and a checked LP or integer-program vector says "yes"; only an
 integer program's "infeasible" is taken from HiGHS on trust, and it can
 only reject a candidate during extraction, never lower the optimum. The
-integer program's rows carry what the cap's proof says such a family uses.
+cap's proof also becomes bounds before any question: the integer program's
+rows carry what such a family uses, and when the cap is x // 6 every
+candidate holding two or more multiples of 6, which no such family holds,
+is bounded out.
 The certificate is the lexicographically first optimum in canonical order:
 a candidate is committed iff some optimum agreeing with every earlier
 decision contains it.
@@ -83,6 +86,24 @@ def _row_lower(x: int, values: list[int]) -> np.ndarray:
     if k3_sharp_upper_bound(x) != x // 6:
         return np.zeros(len(values))
     return np.array([x % 6 in (0, 1) or v % 6 == 0 for v in values], dtype=float)
+
+
+def _column_upper(x: int, candidates: tuple[frozenset[int], ...]) -> np.ndarray:
+    """Upper bounds on the columns: 0 for every candidate no family meeting the cap contains.
+
+    Let m = x // 6 and t = ``k3_sharp_upper_bound(x)``. By its proof every
+    candidate holds at least one of the m multiples of 6, and disjoint members
+    hold distinct ones. So in a family of t members the other t - 1 hold at
+    least one each, and no member holds more than m - t + 1. When the cap is m
+    that is one, which excludes the pairs {6s, 12s} and the triples of
+    multiples of 6 (a triple a + b = c holding two holds three). In the defect
+    case, where the cap is m - 1, it would exclude the triples alone; the dual
+    bound already rejects those almost without a solve, and bounding them only
+    moves HiGHS onto slower paths, so there every bound stays 1.
+    """
+    if k3_sharp_upper_bound(x) != x // 6:
+        return np.ones(len(candidates))
+    return np.array([sum(v % 6 == 0 for v in ds) <= 1 for ds in candidates], dtype=float)
 
 
 def _dual_bound(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, marginals) -> int:
@@ -162,7 +183,9 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     members among the candidates, checked like any solver vector; it meets
     the cap except in the perfect case, where it is one short and ``_ask`` is
     asked for a family at the cap. A witness above the cap, or a "no" at it,
-    refutes the proof and raises InvariantViolation.
+    refutes the proof and raises InvariantViolation. Before any question,
+    ``_column_upper`` bounds to 0 the candidates that the proof keeps out of
+    every optimum, so no question forces them.
 
     Among all optima, returns the lexicographically first in canonical order.
     A fitting candidate in the witness (an optimum agreeing with every decision
@@ -176,7 +199,7 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
         return PackingCertificate(3, x, (), raw_count=0)
     values = sorted({v for ds in cands for v in ds})
     incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
-    lower, upper = np.zeros(n), np.ones(n)  # lower 1: committed; upper 0: rejected
+    lower, upper = np.zeros(n), _column_upper(x, cands)  # lower 1: committed; upper 0: rejected
     geh = {ds for _, ds in geh_family(x).members}
     witness = _family(incidence, lower, upper, np.array([ds in geh for ds in cands], dtype=float))
     if witness is None:
@@ -194,7 +217,7 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     for i in range(n):
         if lower.sum() == target:
             break
-        if not used.isdisjoint(cands[i]):
+        if not upper[i] or not used.isdisjoint(cands[i]):
             upper[i] = 0
             continue
         lower[i] = 1

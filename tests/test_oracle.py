@@ -301,19 +301,28 @@ class TestSharpBound:
 
     def test_rows_cut_off_no_family(self):
         # Every disjoint family of m = x // 6 members, found by brute force, uses
-        # each value whose row is 1.
+        # each value whose row is 1. No disjoint family of cap members has a
+        # member with more than m - cap + 1 multiples of 6, so none holds a
+        # column that the proof bounds to 0.
         for x in range(1, 25):
             cands = enumerate_admissible_diffsets(x).candidates
             values = sorted(set().union(*cands))
-            m = x // 6
+            m, cap = x // 6, k3_sharp_upper_bound(x)
             rows = oracle._row_lower(x, values)
+            upper = oracle._column_upper(x, cands)
             families = 0
-            for combo in combinations(cands, m):
-                used = [v for ds in combo for v in ds]
-                if len(used) == len(set(used)):
-                    families += 1
-                    assert all(v in used for v, row in zip(values, rows) if row), (x, combo)
-            assert (families > 0) == (k3_sharp_upper_bound(x) == m), x
+            for size in {m, cap}:
+                for combo in combinations(range(len(cands)), size):
+                    used = [v for j in combo for v in cands[j]]
+                    if len(used) != len(set(used)):
+                        continue
+                    if size == m:
+                        families += 1
+                        assert all(v in used for v, row in zip(values, rows) if row), (x, combo)
+                    if size == cap:
+                        assert all(sum(v % 6 == 0 for v in cands[j]) <= m - cap + 1 for j in combo), (x, combo)
+                        assert all(upper[j] for j in combo), (x, combo)
+            assert (families > 0) == (cap == m), x
 
     @pytest.mark.parametrize("x, unrestricted", [(48, 1), (50, 0), (52, 0), (60, 0), (66, 0)])
     def test_initial_solve_only_in_the_perfect_case(self, milp_calls, x, unrestricted):
@@ -330,6 +339,30 @@ class TestSharpBound:
         for x in range(1, 73):
             max_disjoint_packing(x)
         assert milp_calls and all(found is not None for *_, found in milp_calls)
+
+    def test_no_question_forces_an_excluded_column(self, monkeypatch, oracle_calls):
+        # The columns the cap's proof bounds out are never forced in, so the
+        # LPs that only proved "no" for them are not solved: even x in 48..72
+        # took 165 LP calls without the exclusion.
+        forced = []
+        real_ask = oracle._ask
+
+        def spy(incidence, lower, upper, *args):
+            forced.append(bool(lower[excluded].any()))
+            return real_ask(incidence, lower, upper, *args)
+
+        monkeypatch.setattr(oracle, "_ask", spy)
+        total_excluded = lp_calls = 0
+        for x in range(1, 73):
+            excluded = oracle._column_upper(x, enumerate_admissible_diffsets(x).candidates) == 0
+            total_excluded += np.count_nonzero(excluded)
+            before = oracle_calls.count("linprog")
+            max_disjoint_packing(x)
+            if x >= 48 and x % 2 == 0:
+                lp_calls += oracle_calls.count("linprog") - before
+        assert forced and total_excluded > 0
+        assert not any(forced)
+        assert lp_calls < 165
 
     @pytest.mark.parametrize("x, candidates", [(0, ()), (-5, ()), (-5, ({2, 4, 6},))])
     def test_non_positive_x_refused_before_any_solve(self, monkeypatch, oracle_calls, x, candidates):
