@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Measure packing densities of every construction against the exact bounds.
 
-Prints, for a range of interval sizes x, the greedy regular packing, both
-variants of the size-3 construction, the exact optimum where affordable,
-the finite upper bound and the sharp size-3 optimum, all as exact
-rationals with decimal renderings.
+Prints, for a range of interval sizes x >= 2, the greedy regular packing,
+both variants of the size-3 construction, the exact optimum where
+affordable (x <= EXACT_MAX_X, else "-"), the finite upper bound and the
+sharp size-3 optimum, all as exact rationals with decimal renderings.
 """
 
 import argparse
 from fractions import Fraction
 
-from polignac.oracle import max_disjoint_packing
+from polignac.oracle import EXACT_MAX_X, max_disjoint_packing
 from polignac.packing import (
     EXTENDED,
     PAPER_LITERAL,
@@ -32,9 +32,11 @@ def main() -> None:
         "--exact-limit",
         type=int,
         default=100,
-        help="run the exhaustive optimum only for x up to this value",
+        help="run the exhaustive optimum only for x up to this value (and EXACT_MAX_X)",
     )
     args = parser.parse_args()
+    if min(args.x) < 2:
+        parser.error(f"every --x must be >= 2, got {min(args.x)}")
 
     floor_k3 = lower_bound_density(3)
     k3_cap = k3_upper_bound_density()
@@ -48,7 +50,7 @@ def main() -> None:
         greedy = greedy_regular_packing(3, x).density
         literal = geh_family(x, PAPER_LITERAL).density
         extended = geh_family(x, EXTENDED).density
-        if x <= args.exact_limit:
+        if x <= min(args.exact_limit, EXACT_MAX_X):
             exact = max_disjoint_packing(x).density
             exact_s = f"{float(exact):.4f}"
         else:

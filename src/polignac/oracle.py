@@ -8,11 +8,12 @@ short, a family found at the cap. Every decision is one question to
 the bounds? The LP relaxation's duals give an exact integer bound that can
 say "no", and a checked LP or integer-program vector says "yes"; only an
 integer program's "infeasible" is taken from HiGHS on trust, and it can
-only reject a candidate during extraction, never lower the optimum. The
-cap's proof also becomes bounds before any question: the integer program's
-rows carry what such a family uses, and when the cap is x // 6 every
-candidate holding two or more multiples of 6, which no such family holds,
-is bounded out.
+only reject a candidate during extraction, never lower the optimum.
+``_cap_bounds`` reads the cap's proof once, before any question: it gives
+the cap, the integer program's rows (what a family at the cap uses) and the
+column bounds (when the cap is x // 6, every candidate holding two or more
+multiples of 6, which no such family holds, is bounded out). Every checked
+family is refused above the cap in one place, ``_family``.
 The certificate is the lexicographically first optimum in canonical order:
 a candidate is committed iff some optimum agreeing with every earlier
 decision contains it.
@@ -61,49 +62,44 @@ def enumerate_admissible_diffsets(x: int) -> PackingInstance:
     return PackingInstance(tuple(candidates))
 
 
-def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, vector) -> set[int] | None:
-    """Columns of a solver vector, or None unless it is a disjoint 0/1 family within the bounds."""
+def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, cap: int, vector) -> set[int] | None:
+    """Columns of a solver vector, or None unless it is a disjoint 0/1 family within the bounds.
+
+    A family of more than cap members refutes the cap's proof and raises InvariantViolation.
+    """
     chosen = np.round(vector)
     # 1e-6 is HiGHS's default integrality (MIP feasibility) tolerance.
     integral = np.all(np.abs(vector - chosen) <= 1e-6)
     in_bounds = np.all((lower <= chosen) & (chosen <= upper))
     if not integral or not in_bounds or (incidence @ chosen).max() > 1:
         return None
-    return set(np.flatnonzero(chosen).tolist())
+    found = set(np.flatnonzero(chosen).tolist())
+    if len(found) > cap:
+        raise InvariantViolation(f"a family of {len(found)} members beats the proven cap {cap}")
+    return found
 
 
-def _row_lower(x: int, values: list[int]) -> np.ndarray:
-    """Lower bounds on the value rows that every family meeting the cap meets.
+def _cap_bounds(x: int, values: list[int], candidates: tuple[frozenset[int], ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """The proven cap t = ``k3_sharp_upper_bound(x)``, and row and column bounds every t-family meets.
 
-    Let m = x // 6. By ``k3_sharp_upper_bound``'s proof every candidate holds
-    a multiple of 6, so a disjoint family has at most m members. When the cap
-    is m, each member of such a family holds exactly one of the m multiples
-    of 6, so every multiple-of-6 row is 1, and no member is a pair {a, 2a}
-    (6 | a: it holds two). If also x mod 6 is 0 or 1, the 3m values are all
-    the x // 2 even values <= x, so every row is 1. In the defect case, where
-    the cap is m - 1, the rows are 0.
+    Let m = x // 6. By the cap's proof every candidate holds at least one of
+    the m multiples of 6, and disjoint members hold distinct ones. So each
+    member of a family of t members holds at most m - t + 1 of them.
+    When t = m that is exactly one: every multiple-of-6 row is 1, and the
+    pairs {6s, 12s} and the triples of multiples of 6 (a triple a + b = c
+    holding two holds three) are bounded to 0. If also x mod 6 is 0 or 1, the
+    3m values are all the x // 2 even values <= x, so every row is 1.
+    In the defect case, t = m - 1, the rows stay 0 and every column bound
+    stays 1: the rule would exclude only the triples, which the dual bound
+    already rejects almost without a solve, and bounding them only moves
+    HiGHS onto slower paths.
     """
-    if k3_sharp_upper_bound(x) != x // 6:
-        return np.zeros(len(values))
-    return np.array([x % 6 in (0, 1) or v % 6 == 0 for v in values], dtype=float)
-
-
-def _column_upper(x: int, candidates: tuple[frozenset[int], ...]) -> np.ndarray:
-    """Upper bounds on the columns: 0 for every candidate no family meeting the cap contains.
-
-    Let m = x // 6 and t = ``k3_sharp_upper_bound(x)``. By its proof every
-    candidate holds at least one of the m multiples of 6, and disjoint members
-    hold distinct ones. So in a family of t members the other t - 1 hold at
-    least one each, and no member holds more than m - t + 1. When the cap is m
-    that is one, which excludes the pairs {6s, 12s} and the triples of
-    multiples of 6 (a triple a + b = c holding two holds three). In the defect
-    case, where the cap is m - 1, it would exclude the triples alone; the dual
-    bound already rejects those almost without a solve, and bounding them only
-    moves HiGHS onto slower paths, so there every bound stays 1.
-    """
-    if k3_sharp_upper_bound(x) != x // 6:
-        return np.ones(len(candidates))
-    return np.array([sum(v % 6 == 0 for v in ds) <= 1 for ds in candidates], dtype=float)
+    target = k3_sharp_upper_bound(x)
+    if target != x // 6:
+        return target, np.zeros(len(values)), np.ones(len(candidates))
+    rows = np.array([x % 6 in (0, 1) or v % 6 == 0 for v in values], dtype=float)
+    upper = np.array([sum(v % 6 == 0 for v in ds) <= 1 for ds in candidates], dtype=float)
+    return target, rows, upper
 
 
 def _dual_bound(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, marginals) -> int:
@@ -130,7 +126,8 @@ def _ask(
 ) -> tuple[set[int] | None, np.ndarray | None]:
     """Columns of a checked disjoint family of >= target members in bounds, or None if there is none.
 
-    duals are the marginals of an earlier LP over the same incidence, or
+    target is the proven cap, so ``_family`` raises on a checked family of
+    more. duals are the marginals of an earlier LP over the same incidence, or
     None; the duals to try next are returned with the answer. The question
     goes, in order, to (1) those duals, since ``_dual_bound`` holds for any
     y; (2) a fresh LP relaxation, whose dual bound can say "no" and whose
@@ -154,7 +151,7 @@ def _ask(
         duals = lp.ineqlin.marginals
         if _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
             return None, duals
-        found = _family(incidence, lower, upper, lp.x)
+        found = _family(incidence, lower, upper, target, lp.x)
         if found is not None and len(found) >= target:
             return found, duals
     count = LinearConstraint(np.ones((1, incidence.shape[1])), target, np.inf)
@@ -168,7 +165,7 @@ def _ask(
         return None, duals
     if not result.success:
         raise InvariantViolation(f"integer program failed: {result.message}")
-    found = _family(incidence, lower, upper, result.x)
+    found = _family(incidence, lower, upper, target, result.x)
     if found is None or len(found) < target:
         raise InvariantViolation(f"solver vector is not a disjoint 0/1 family of at least {target} members in bounds")
     return found, duals
@@ -182,10 +179,10 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     the proven cap ``k3_sharp_upper_bound(x)``: the first witness is the geh
     members among the candidates, checked like any solver vector; it meets
     the cap except in the perfect case, where it is one short and ``_ask`` is
-    asked for a family at the cap. A witness above the cap, or a "no" at it,
-    refutes the proof and raises InvariantViolation. Before any question,
-    ``_column_upper`` bounds to 0 the candidates that the proof keeps out of
-    every optimum, so no question forces them.
+    asked for a family at the cap. A checked family above the cap, or a "no"
+    at it, refutes the proof and raises InvariantViolation. Before any
+    question, ``_cap_bounds`` gives the cap and bounds to 0 the candidates
+    that the proof keeps out of every optimum, so no question forces them.
 
     Among all optima, returns the lexicographically first in canonical order.
     A fitting candidate in the witness (an optimum agreeing with every decision
@@ -199,15 +196,12 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
         return PackingCertificate(3, x, (), raw_count=0)
     values = sorted({v for ds in cands for v in ds})
     incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
-    lower, upper = np.zeros(n), _column_upper(x, cands)  # lower 1: committed; upper 0: rejected
+    target, rows, upper = _cap_bounds(x, values, cands)
+    lower = np.zeros(n)  # lower 1: committed; upper 0: rejected
     geh = {ds for _, ds in geh_family(x).members}
-    witness = _family(incidence, lower, upper, np.array([ds in geh for ds in cands], dtype=float))
+    witness = _family(incidence, lower, upper, target, np.array([ds in geh for ds in cands], dtype=float))
     if witness is None:
         raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
-    target = k3_sharp_upper_bound(x)
-    if len(witness) > target:
-        raise InvariantViolation(f"a family of {len(witness)} members beats the proven cap {target}")
-    rows = _row_lower(x, values)
     duals = None
     if len(witness) < target:
         witness, duals = _ask(incidence, lower, upper, target, rows, duals)
@@ -226,8 +220,6 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
             if found is None:
                 lower[i] = upper[i] = 0
                 continue
-            if len(found) > target:
-                raise InvariantViolation("a restricted solve beat the optimum")
             witness = found
         used |= cands[i]
     chosen = np.flatnonzero(lower).tolist()

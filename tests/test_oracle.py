@@ -289,6 +289,31 @@ class TestSharpBound:
         with pytest.raises(InvariantViolation, match="a family of 7 members beats the proven cap 6"):
             max_disjoint_packing(48)
 
+    @pytest.mark.parametrize("source", ["linprog", "milp"])
+    def test_solver_family_above_the_cap_is_refused(self, monkeypatch, source):
+        # x = 30's optimum has 5 members. Asked at a cap of 4, a solver vector
+        # holding that optimum is a checked family that beats the cap, whether
+        # it comes from the LP or from the integer program.
+        cands = enumerate_admissible_diffsets(30).candidates
+        values = sorted(set().union(*cands))
+        incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
+        vector = np.zeros(len(cands))
+        vector[[int(label[1:]) for label, _ in max_disjoint_packing(30).members]] = 1
+        # Zero duals bound nothing, so the LP's vector is checked.
+        fake = SimpleNamespace(status=0, success=True, x=vector, ineqlin=SimpleNamespace(marginals=np.zeros(len(values))))
+        unsolved = SimpleNamespace(status=4)
+        monkeypatch.setattr(oracle, "linprog", lambda **kwargs: fake if source == "linprog" else unsolved)
+        monkeypatch.setattr(oracle, "milp", lambda **kwargs: fake)
+        with pytest.raises(InvariantViolation, match="^a family of 5 members beats the proven cap 4$"):
+            oracle._ask(incidence, np.zeros(len(cands)), np.ones(len(cands)), 4, np.zeros(len(values)), None)
+
+    def test_overlapping_geh_family_is_refused(self, monkeypatch):
+        # {2,4,6} and {2,6,8} share 2 and 6, so they are no witness.
+        overlapping = SimpleNamespace(members=(("a", frozenset({2, 4, 6})), ("b", frozenset({2, 6, 8}))))
+        monkeypatch.setattr(oracle, "geh_family", lambda x: overlapping)
+        with pytest.raises(InvariantViolation, match="^the geh family is not a disjoint 0/1 family in bounds$"):
+            max_disjoint_packing(12)
+
     def test_no_family_at_the_cap_is_an_invariant_violation(self, monkeypatch):
         # x = 30 is perfect: geh has 4 members and the cap is 5. An integer
         # program answering "infeasible" at the cap would refute its proof,
@@ -307,9 +332,9 @@ class TestSharpBound:
         for x in range(1, 25):
             cands = enumerate_admissible_diffsets(x).candidates
             values = sorted(set().union(*cands))
-            m, cap = x // 6, k3_sharp_upper_bound(x)
-            rows = oracle._row_lower(x, values)
-            upper = oracle._column_upper(x, cands)
+            m = x // 6
+            cap, rows, upper = oracle._cap_bounds(x, values, cands)
+            assert cap == k3_sharp_upper_bound(x), x
             families = 0
             for size in {m, cap}:
                 for combo in combinations(range(len(cands)), size):
@@ -354,7 +379,8 @@ class TestSharpBound:
         monkeypatch.setattr(oracle, "_ask", spy)
         total_excluded = lp_calls = 0
         for x in range(1, 73):
-            excluded = oracle._column_upper(x, enumerate_admissible_diffsets(x).candidates) == 0
+            cands = enumerate_admissible_diffsets(x).candidates
+            excluded = oracle._cap_bounds(x, sorted(set().union(*cands)), cands)[2] == 0
             total_excluded += np.count_nonzero(excluded)
             before = oracle_calls.count("linprog")
             max_disjoint_packing(x)
