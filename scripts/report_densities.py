@@ -5,8 +5,10 @@ Prints, for a range of interval sizes x >= 2, the greedy regular packing,
 both variants of the size-3 construction, the exact optimum where
 affordable (x <= EXACT_MAX_X, else "-"), the finite upper bound and the
 sharp size-3 optimum, all as exact rationals with decimal renderings.
-Every row is built before anything prints, so an x the library refuses
-exits 2 with the library's message and no partial table.
+Every row is built before anything prints, and the construction columns
+of every x before any exact solve, so an x the library refuses exits 2
+with the library's message and no partial table, without waiting on the
+exact optimum of the x before it.
 """
 
 import argparse
@@ -24,16 +26,23 @@ from polignac.packing import (
 )
 
 
-def row(x: int) -> str:
-    greedy = greedy_regular_packing(3, x).density
-    literal = geh_family(x, PAPER_LITERAL).density
-    extended = geh_family(x, EXTENDED).density
-    exact = f"{float(max_disjoint_packing(x).density):.4f}" if x <= EXACT_MAX_X else "-"
-    cap = k3_finite_upper_bound(x) / x
-    sharp = k3_sharp_upper_bound(x) / x
+def constructions(x: int) -> tuple[float, ...]:
+    """The greedy, literal, extended, cap and sharp columns of one row."""
     return (
-        f"{x:>6} {float(greedy):>12.4f} {float(literal):>12.4f} "
-        f"{float(extended):>12.4f} {exact:>12} {cap:>12.4f} {sharp:>12.4f}"
+        float(greedy_regular_packing(3, x).density),
+        float(geh_family(x, PAPER_LITERAL).density),
+        float(geh_family(x, EXTENDED).density),
+        k3_finite_upper_bound(x) / x,
+        k3_sharp_upper_bound(x) / x,
+    )
+
+
+def row(x: int, columns: tuple[float, ...]) -> str:
+    greedy, literal, extended, cap, sharp = columns
+    exact = f"{float(max_disjoint_packing(x).density):.4f}" if x <= EXACT_MAX_X else "-"
+    return (
+        f"{x:>6} {greedy:>12.4f} {literal:>12.4f} "
+        f"{extended:>12.4f} {exact:>12} {cap:>12.4f} {sharp:>12.4f}"
     )
 
 
@@ -44,7 +53,8 @@ def main() -> None:
     )
     args = parser.parse_args()
     try:
-        rows = [row(x) for x in args.x]
+        built = [constructions(x) for x in args.x]
+        rows = [row(x, columns) for x, columns in zip(args.x, built)]
     except ValueError as exc:
         parser.error(str(exc))
 

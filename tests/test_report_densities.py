@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from polignac import oracle
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_densities.py"
 
 
@@ -27,6 +29,17 @@ def test_refused_x_exits_2_before_printing(monkeypatch, capsys, args, message):
     assert exc.value.code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_refusal_waits_on_no_exact_solve(monkeypatch, capsys):
+    # x = 216 alone takes seconds to solve exactly; 1200008 is over geh's limit.
+    monkeypatch.setattr(oracle, "max_disjoint_packing", lambda x: pytest.fail(f"solved x = {x}"))
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, "--x", "216", "1200008")
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "over the construction limit 200000" in captured.err
 
 
 def test_exact_column_is_dash_above_the_oracle_domain(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,10 +49,14 @@ class TestPrimesUpTo:
         assert list(primes_up_to(limit)) == trial_division_primes(limit)
 
     def test_around_prime_squares(self):
-        # The sieve stops at isqrt(limit); p*p is the first multiple p clears.
-        for p in trial_division_primes(100):
+        # The sieve stops at isqrt(limit); p*p is the first multiple p clears
+        # in the 6i + 1 flags, and p(p + 4) or p(p + 2) in the 6i + 5 flags.
+        reference = trial_division_primes(200**2 + 1)
+        wheel_primes = [p for p in reference if 3 < p <= 200]
+        assert {p % 6 for p in wheel_primes} == {1, 5}
+        for p in wheel_primes:
             for m in (p * p - 1, p * p, p * p + 1):
-                assert list(primes_up_to(m)) == trial_division_primes(m)
+                assert list(primes_up_to(m)) == [q for q in reference if q <= m]
 
     def test_strictly_increasing(self):
         primes = primes_up_to(10**4)
@@ -123,8 +129,23 @@ class TestCensus:
     )
     def test_top_pair_on_x(self, x, dmax, expected):
         # The largest pair ends exactly at x (or x has no pair at all), and
-        # dmax >= x, so an off-by-one in the odd-only layout or shift shows.
+        # dmax >= x, so an off-by-one in a wheel index or shift shows.
         assert prime_pair_census(x, dmax).counts == expected == naive_census(x, dmax)
+
+    def test_matches_naive_at_every_small_x(self):
+        # Every x mod 6, and dmax >= x, so every pair (3, 3 + d) is counted.
+        for x in range(2, 401):
+            dmax = x + x % 2
+            assert prime_pair_census(x, dmax).counts == naive_census(x, dmax), x
+
+    def test_peak_memory_below_one_byte_per_integer(self):
+        tracemalloc.start()
+        try:
+            prime_pair_census(10**6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=3000), st.integers(min_value=1, max_value=CENSUS_MAX_DMAX // 2))
