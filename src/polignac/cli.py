@@ -182,11 +182,15 @@ def _build_parser() -> _Parser:
         description="The optimum is proven in closed form and met by the geh family, except when"
         " x mod 6 is 0 or 1 and m = x // 6 is 0 or 1 mod 4, where it is m, one more. Every"
         " decision asks whether a disjoint family of at least a target size exists: an exact"
-        " LP dual bound can say no, a checked LP or integer-program family says yes, and only"
-        " an integer program's 'infeasible' is taken from the solver on trust. Solve"
-        " time grows with x but not monotonically: x = 132 takes about 1 s, and every even"
-        " x up to 322 took at most 52 s (x = 318) in a fresh process per x on a 2-vCPU VM;"
-        " an odd x takes as long as x - 1.",
+        " LP dual bound can say no. In the lexicographic extraction at the cap m, a depth-first"
+        " search for a family holding every value the cap's proof requires comes next: a"
+        " checked cover says yes, an exhausted search says no, and after a fixed number of"
+        " nodes it passes the question on. Then a checked LP or integer-program family says"
+        " yes, and only an integer program's 'infeasible' is taken from the solver on trust."
+        " Solve time grows with x but not monotonically: x = 132 takes about 1 s, and every"
+        " even x up to 322 took at most 35 s (x = 276), the worst of 322 fresh-process readings"
+        " (two per even x, one process at a time) on a 2-vCPU VM, not a bound; an odd x takes"
+        " as long as x - 1.",
     )
     q.add_argument("--x", type=int, required=True, help=f"at most {oracle.EXACT_MAX_X}")
     q.set_defaults(run=_pack_exact)

@@ -6,9 +6,13 @@ checked family: geh's members, or in the perfect case, where geh is one
 short, a family found at the cap. Every decision is one question to
 ``_ask``: is there a disjoint family of at least ``target`` members within
 the bounds? The LP relaxation's duals give an exact integer bound that can
-say "no", and a checked LP or integer-program vector says "yes"; only an
-integer program's "infeasible" is taken from HiGHS on trust, and it can
-only reject a candidate during extraction, never lower the optimum.
+say "no". During extraction, wherever the cap's proof gives value rows, a
+depth-first search for a disjoint family holding every row value
+(``_cover``) comes next: a checked cover says "yes", an exhausted search
+says "no", and past ``COVER_NODES`` nodes it passes the question on. Then a
+checked LP or integer-program vector says "yes"; only an integer program's
+"infeasible" is taken from HiGHS on trust, and it can only reject a
+candidate during extraction, never lower the optimum.
 ``_cap_bounds`` reads the cap's proof once, before any question: it gives
 the cap, the integer program's rows (what a family at the cap uses) and the
 column bounds (when the cap is x // 6, every candidate holding two or more
@@ -33,6 +37,12 @@ from .packing import InvariantViolation, PackingCertificate, geh_family, k3_shar
 EXACT_MAX_X = 323
 # Scale at which LP duals are rounded to integers for the exact bound.
 DUAL_SCALE = 2**20
+# Nodes after which ``_cover`` passes a question on to the LP and the integer
+# program. One pass over even x in 48..72 took 0.48 s with no search, 0.19 s
+# at 200 nodes, 0.17-0.20 s at 400-800 and 0.24 s at 1600 (in-process
+# medians of 7, 2-vCPU VM); x = 216 and 264 read 14-16 s and 21-24 s at 200,
+# 400 and 1000 nodes.
+COVER_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -121,8 +131,81 @@ def _dual_bound(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, mar
     return int(scaled.sum() + np.maximum(reduced * lo, reduced * hi).sum())
 
 
+class _GaveUp(Exception):
+    """The search passed ``COVER_NODES`` nodes without an answer."""
+
+
+def _bits(columns: np.ndarray) -> int:
+    """The nonzero entries of a column vector as an integer bitmask: bit j is column j."""
+    return int.from_bytes(np.packbits(columns != 0, bitorder="little").tobytes(), "little")
+
+
+def _cover_index(incidence: np.ndarray, rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """Column bitmasks for ``_cover``, built once per x.
+
+    The first list has, per row value, the columns holding it; the second,
+    per column, the columns sharing a value with it, itself included.
+    """
+    masks = [_bits(row) for row in incidence]
+    clashes = [0] * incidence.shape[1]
+    for mask, row in zip(masks, incidence):
+        for j in np.flatnonzero(row).tolist():
+            clashes[j] |= mask
+    return [mask for mask, row in zip(masks, rows) if row], clashes
+
+
+def _cover(index: tuple[list[int], list[int]], lower: np.ndarray, upper: np.ndarray) -> list[int] | None:
+    """Free columns that, with the committed ones, hold every row value once, or None if none do.
+
+    index is ``_cover_index``'s. A free column has upper bound 1 and lower
+    bound 0 and shares no value with a column taken so far. Depth first,
+    each node branches on the uncovered row value with the fewest free
+    columns holding it, lowest column first (Knuth's Algorithm X, arXiv
+    cs/0011047). Every family at the cap holds every row value, so an
+    exhausted search is an exact "no". Past ``COVER_NODES`` nodes the search
+    raises _GaveUp.
+    """
+    holders, clashes = index
+    nodes = 0
+
+    def search(uncovered: list[int], free: int) -> list[int] | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > COVER_NODES:
+            raise _GaveUp
+        if not uncovered:
+            return []
+        branch = min((mask & free for mask in uncovered), key=int.bit_count)
+        while branch:
+            j = (branch & -branch).bit_length() - 1
+            branch ^= 1 << j
+            rest = search([mask for mask in uncovered if not mask >> j & 1], free & ~clashes[j])
+            if rest is not None:
+                return [j, *rest]
+        return None
+
+    committed, free = _bits(lower), _bits(upper > lower)
+    for j in np.flatnonzero(lower).tolist():
+        free &= ~clashes[j]
+    return search([mask for mask in holders if not mask & committed], free)
+
+
+def _checked(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int, vector) -> set[int]:
+    """Columns of a "yes" vector, which must be a disjoint 0/1 family of >= target members in bounds."""
+    found = _family(incidence, lower, upper, target, vector)
+    if found is None or len(found) < target:
+        raise InvariantViolation(f"the family found is not a disjoint 0/1 family of at least {target} members in bounds")
+    return found
+
+
 def _ask(
-    incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int, row_lower: np.ndarray, duals
+    incidence: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    target: int,
+    row_lower: np.ndarray,
+    duals,
+    index: tuple[list[int], list[int]] | None,
 ) -> tuple[set[int] | None, np.ndarray | None]:
     """Columns of a checked disjoint family of >= target members in bounds, or None if there is none.
 
@@ -130,16 +213,31 @@ def _ask(
     more. duals are the marginals of an earlier LP over the same incidence, or
     None; the duals to try next are returned with the answer. The question
     goes, in order, to (1) those duals, since ``_dual_bound`` holds for any
-    y; (2) a fresh LP relaxation, whose dual bound can say "no" and whose
-    vector, if ``_family`` accepts it with >= target members, says "yes";
-    the LP omits the value rows, so its bound is the plain relaxation's;
-    (3) an integer program with a zero objective, value rows in [row_lower,
-    1] and a count row sum(z) >= target, whose vector must pass the same
-    check or raise InvariantViolation. Its "infeasible" (HiGHS status 2) is
-    the one answer taken on trust; a bad dual can only fail to reject.
+    y; (2) if index is not None, ``_cover``'s search over the row values,
+    whose cover says "yes", whose exhausted search says "no" and which
+    passes the question on when it gives up; (3) a fresh LP relaxation,
+    whose dual bound can say "no" and whose vector, if ``_family`` accepts
+    it with >= target members, says "yes"; the LP omits the value rows, so
+    its bound is the plain relaxation's; (4) an integer program with a zero
+    objective, value rows in [row_lower, 1] and a count row sum(z) >=
+    target. A "yes" vector from the search or the integer program must
+    pass ``_checked`` or raise InvariantViolation. The integer program's
+    "infeasible" (HiGHS status 2) is the one answer taken on trust; a bad
+    dual can only fail to reject.
     """
     if duals is not None and _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
         return None, duals
+    if index is not None:
+        try:
+            picked = _cover(index, lower, upper)
+        except _GaveUp:
+            pass
+        else:
+            if picked is None:
+                return None, duals
+            vector = lower.copy()
+            vector[picked] = 1
+            return _checked(incidence, lower, upper, target, vector), duals
     lp = linprog(
         c=-np.ones(incidence.shape[1]),
         A_ub=incidence,
@@ -165,10 +263,7 @@ def _ask(
         return None, duals
     if not result.success:
         raise InvariantViolation(f"integer program failed: {result.message}")
-    found = _family(incidence, lower, upper, target, result.x)
-    if found is None or len(found) < target:
-        raise InvariantViolation(f"solver vector is not a disjoint 0/1 family of at least {target} members in bounds")
-    return found, duals
+    return _checked(incidence, lower, upper, target, result.x), duals
 
 
 def max_disjoint_packing(x: int) -> PackingCertificate:
@@ -188,7 +283,11 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     A fitting candidate in the witness (an optimum agreeing with every decision
     so far) is committed with no solve; any other is forced in and committed
     iff ``_ask`` finds a family of the optimum's size, which becomes the
-    witness. The LP duals carry over from each question to the next.
+    witness. The LP duals carry over from each question to the next. Where
+    ``_cap_bounds`` gives rows, these questions try ``_cover``'s search, on
+    column bitmasks built once per x; the perfect case's question before
+    extraction goes to the LP and the integer program without it (the
+    layered benchmark's self-test counts that integer program).
     """
     cands = enumerate_admissible_diffsets(x).candidates
     n = len(cands)
@@ -198,13 +297,14 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
     target, rows, upper = _cap_bounds(x, values, cands)
     lower = np.zeros(n)  # lower 1: committed; upper 0: rejected
+    index = _cover_index(incidence, rows) if rows.any() else None
     geh = {ds for _, ds in geh_family(x).members}
     witness = _family(incidence, lower, upper, target, np.array([ds in geh for ds in cands], dtype=float))
     if witness is None:
         raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
     duals = None
     if len(witness) < target:
-        witness, duals = _ask(incidence, lower, upper, target, rows, duals)
+        witness, duals = _ask(incidence, lower, upper, target, rows, duals, None)
         if witness is None:
             raise InvariantViolation(f"no disjoint family meets the proven cap {target}")
     used: set[int] = set()
@@ -216,7 +316,7 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
             continue
         lower[i] = 1
         if i not in witness:
-            found, duals = _ask(incidence, lower, upper, target, rows, duals)
+            found, duals = _ask(incidence, lower, upper, target, rows, duals, index)
             if found is None:
                 lower[i] = upper[i] = 0
                 continue

@@ -9,7 +9,8 @@ import pytest
 from polignac import oracle
 from polignac.cli import render, run_command
 
-# sha256 of the `pack exact --x x --format json` text, from the integer-program-only oracle.
+# sha256 of the `pack exact --x x --format json` text: x <= 60 from the integer-program-only
+# oracle, 61..132 from the oracle that asked only the LP and the integer program.
 EXACT_JSON_SHA256 = {
     1: "a6b8dcd4705b61c2c3f332a36bba99ffac2fd518f6501f39c0832a056e7c2da1",
     2: "2ca314561ca53bba32223e83779136569e9949edd1be20e81774e4e59957b4f2",
@@ -71,6 +72,78 @@ EXACT_JSON_SHA256 = {
     58: "007e47a5bb6ac730303b951104daef75afbd5f1628931be52e4d7c0ce7a21860",
     59: "0972a97a3dbfebee48766edc7be83fdaaec81ca590b54b376ad80d0013099036",
     60: "fa3897c3307ae99a5416bd5ac9c44bb7e65397e3ab6960a86268faccf554a185",
+    61: "e6696c04228a40e0d95a7528f060a3b2020d54cca6c48a85f4bd6848c16e8749",
+    62: "08deecee55f763230378b9bf2013ed5131fc2e2b7df87855de74ed9913c3d308",
+    63: "7808317042d010502db5f7f2d4c235c59f794542bfea6ef531912ce5eccbdf73",
+    64: "b3f2477f1a6a5137e5a813238182826ef618ce4e374611fe8b534e85b2f41e5e",
+    65: "6d0893d5f91a6685df9d6ae5b234ff764e1d7e9b52f5066f018ed889e10f89a7",
+    66: "ad2a77d519ce375a6fe40ebda6ee6fd59c194f00d289b14477e9cd124c613c53",
+    67: "ba1e40c8bfe991789964012623aaf60de031a4dedb9d2b0188abe253e2c0d7f3",
+    68: "d65690107fdeb275617072a1e795995d250ac2637e26625d79fdf60504d23fa3",
+    69: "76377aaa92614de0ff6d132a15de3dee3ab395ec5def92d6eaf90031e0ce4bb7",
+    70: "7a5ba0d794054ef0f3e4a32edddabcac83688ffb278a8688a435a90bc7e32e10",
+    71: "f63639b5b842946cfcd2f50cac6fda72b9a4f9d34ff54c24127deedc561905f6",
+    72: "95556a451941faa82567532a08e7cd0287b2c65ebf00a1eb484c2797ad4ce5e4",
+    73: "bec0ea3ece256d95a1ce02f4bc95dcd475d2fdea8bf6f1b8137f70c8dcb72729",
+    74: "2ecf413d378caf06f5ee03e9aca2c9f9f937e6a06b9132dddc9ce01db0e0542a",
+    75: "43c98e90fe2fe6503ed515f0cb4be87c8ccf4e1c9698ece5d1f9d030118f4636",
+    76: "aa0a85b5827d7c8de8a28a2498f731591c14517657aff4691782fd398789e8e4",
+    77: "4fb4fdee96ec100c1744eaa46a483c497f47e428062820598fd118205c5ee05c",
+    78: "5126c026ec4cbab4bb7c103c61cb33f651bb9760212bd4c0fef096b3874210bc",
+    79: "803e3b3c611e9ef6ed670c76e68edbec41f68b3f871dc6c5a7e4a2a9902774eb",
+    80: "d970afa79915701dd1913d849fe9efbca2d039f444e9ba84db712c4405135c3e",
+    81: "2ef5e07b2c8b60d356ae49042aeca4f120ad4fc6db38d170fcaae78f31eedd49",
+    82: "04d7b1fac7753bafd05654fbd94cfbe909cc728c49738abafc73e0f5b494dada",
+    83: "6a097282b7cc84aa770aedc63bd3e3ccd038ee4a789a863f36bc2314fb463c19",
+    84: "61535ad90bcb44c6da49b314392c5224d43dfa3d8660eed24f8d36e4fe569058",
+    85: "7d2fcb3587b324e96ca84b9a8422f35a6585ed6ddece896fb53305720a5707f2",
+    86: "d51fd696640981bb3e3bbaca9c89c3fa74559b9987667fe36f1a6c88e0f41fda",
+    87: "82478710184b051cad85c92fb71c1d6c6d8fbb18dab818dd8e52d590e6d9ca2b",
+    88: "daea34f80432f06dc556a84ebd13cb0f0d3990b4bfb9860eb5e18196c16ad2ab",
+    89: "8f0acac932f88258a0eb0e7c92e7add2554b8fb4fb34c179cdd344273364d90c",
+    90: "49b6a141d4c5bea12a3dd6d96cad2807f1882615b39515aec76279e2ce61647d",
+    91: "a34a6a42d08517912c36cf8d14bbdbc4a6df1ec015ff335a5a43543a563a4fbe",
+    92: "4761c662614c20acdac055bf9a60a376bebf0ff4fa190ef20fba6055c668cf69",
+    93: "ba9897a03ac008d58ccc2c6836640e3900bb038fb48764e97514233f3dd6d8a5",
+    94: "c843099d93583d67b5b9683179b36f66255b92d152b95ef883b5c9586c68b3cd",
+    95: "119ea86060e4abec5a6fba92b50027bedf437dbfd962b8e91e915540fd4e813d",
+    96: "99812f444c676ce29e972be86c0fa592bf8aaa5ee93d1c6d1ee91a9b13c68ecb",
+    97: "279c73223e92d3b20985065a63b3e4b02f08ecda907ee7b9c6e71639fb31751e",
+    98: "180832c73b05ba496c0e4e8b49b8f1d2662b0aa03c3decbe1ed469675d416817",
+    99: "1b8e3b69588f027bcc89f5744fba8b532a9a12d2ccec3fa88e0e5a28235de925",
+    100: "7ddc10cb6adff6e57dbeb78640aabd2f54e61ea38ca03b10b29f75ca877bfee6",
+    101: "19f36745b0272b4bb7a3d880fbb9b0aa9a95f497c269730381c77879f00290f0",
+    102: "52fcff21e17e678265e7ea6cdfabf2029c30172796c6dcf6715d3570c90161d8",
+    103: "96f91c91a6d6f56d4d6aa077b271b73a7341f672f9dcf1226aa8b6dca15f8b7b",
+    104: "eff81858148114645177f2a9b4420403a4e88b1d068782852bafa3f89d3bd424",
+    105: "9042de61c5540b24353c8d1bffc209c3903b26c0cf737e714cff405dcd2996c4",
+    106: "1b921e4945421ff90898624c7bd3623b18bfe30d788472e9077466e5ea979543",
+    107: "fc12a96ae670303abcfb16a8054e958b36c3af43a3f0480c940e36ea48663cc1",
+    108: "4529464819c5f15c1185036f9433ec50793fdccfd724768c83b392ee2aa994b4",
+    109: "372f82a86db99fa76f36378cf4edb813eea7f6d16d73acb91146ff21433443c5",
+    110: "b11e5c27881a36b3c31c92090d39fa3e7d55ead4770849d329e110a031413384",
+    111: "fe3e395b20856064f56f5ddb09ba385cb2f2421fca2a0772b819c54a5ec37e88",
+    112: "8417d983eb038c11cc91a3fb84b8f67de73616fe5d15e32585f45907db1967ae",
+    113: "8c65bd9d1c6f31befa3209d8fd8129a8163119c6238e899d5f1e484d5d77f92b",
+    114: "e206bad889c8dd6735d306f959892045870e58de171facd4886f0b9dd9359ce9",
+    115: "74f18cf1b42d0fca5a035db4e7528d3939ce783d38d7a4730d845f6bb6eb4f73",
+    116: "13392e5ec7072e181baa75264b2bc040865f80f2205757239c6c8e446aef98dc",
+    117: "d3b91243dba623111753b798d9572c3e78e544127e5a6ed81d3c525203be2acf",
+    118: "048ff33500243979cab542096727b9ca40bd607e034be328419d15e09c1da22c",
+    119: "532204a85e9df96cb9b2ebf1880ab5bef696d49d717f95d812e90c38cf35375d",
+    120: "69dc4075dfb2c985ba5fa56a65bdc82ee6d6a1f10cbc9345af9932abd5dcbe97",
+    121: "5098aab6b71425e92a5b77531af6ddcc81de5fde828f4b591331f92b55c204f2",
+    122: "1c99c9cbdaf3d210e605507648a41b902ffe997290bf7fd948ddb7de89da38cd",
+    123: "e74fa33a1dbd7558f59dfbdc050e2646e7365a71f67006089c0d45187781df9d",
+    124: "47a41b074c00527e003f2804a237f6a307c38ce50cb35f6fd692221588bbf121",
+    125: "e58b4225f4f5f0076e7f710ca6b7393288006fa785e67e0e45f16b7276a79762",
+    126: "b0e9ed1ff18079fdc30452e6190162c7342cadab5735a4cb921b0f52dfe5d84e",
+    127: "fde8d1609c4d0e1c6e97c7be450063fd3c62598079aa396a1c8f39b1aaa3ef72",
+    128: "7fa0a3df8e89b976363373173c7d81014355796d6dfcf8430ec905a66595a41f",
+    129: "bb4673dff585d3d5683c60b35b8dbd35150ebe9e5271681ae9dba35ef5e10ed0",
+    130: "096e46f1495b56d9ac0e5f51437fb510ccb405a98317e2e557037d719573cb1e",
+    131: "a590cf49f85c4df5527879d07cffdf4af542534a2e272449fe53b73eb8e70935",
+    132: "3197a40e69f147f09eac6b1ab47bc2a9c62d98583e02cdbdc2706caf14b75ae4",
 }
 
 
@@ -124,3 +197,26 @@ def test_bad_lp_changes_no_certificate(monkeypatch, x, bad):
     monkeypatch.setattr(oracle, "linprog", fake)
     assert exact_json_sha256(x) == EXACT_JSON_SHA256[x]
     assert calls
+
+
+@pytest.mark.parametrize("nodes, outcome", [(0, "gave up"), (10**4, "answered")])
+def test_search_node_limit_changes_no_certificate(monkeypatch, nodes, outcome):
+    # At 0 the search gives every question up to the LP and the integer
+    # program; no question at x <= 72 takes it more than 1544 nodes, so at
+    # 10**4 it answers each one itself. Either way the certificates stay.
+    outcomes = []
+    real_cover = oracle._cover
+
+    def spy(*args):
+        try:
+            picked = real_cover(*args)
+        except oracle._GaveUp:
+            outcomes.append("gave up")
+            raise
+        outcomes.append("answered")
+        return picked
+
+    monkeypatch.setattr(oracle, "_cover", spy)
+    monkeypatch.setattr(oracle, "COVER_NODES", nodes)
+    assert {x: exact_json_sha256(x) for x in range(1, 73)} == {x: EXACT_JSON_SHA256[x] for x in range(1, 73)}
+    assert set(outcomes) == {outcome}

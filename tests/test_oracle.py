@@ -235,7 +235,9 @@ class TestMaxDisjointPacking:
             return result
 
         monkeypatch.setattr(oracle, "milp", recording_milp)
-        # An LP that never solves sends every forced candidate to the integer program.
+        # A search that always gives up and an LP that never solves send every
+        # forced candidate to the integer program.
+        monkeypatch.setattr(oracle, "COVER_NODES", 0)
         monkeypatch.setattr(oracle, "linprog", lambda **kwargs: SimpleNamespace(status=4))
         assert max_disjoint_packing(30).count == 5
         assert len(targets) > 1
@@ -289,11 +291,11 @@ class TestSharpBound:
         with pytest.raises(InvariantViolation, match="a family of 7 members beats the proven cap 6"):
             max_disjoint_packing(48)
 
-    @pytest.mark.parametrize("source", ["linprog", "milp"])
+    @pytest.mark.parametrize("source", ["_cover", "linprog", "milp"])
     def test_solver_family_above_the_cap_is_refused(self, monkeypatch, source):
-        # x = 30's optimum has 5 members. Asked at a cap of 4, a solver vector
-        # holding that optimum is a checked family that beats the cap, whether
-        # it comes from the LP or from the integer program.
+        # x = 30's optimum has 5 members. Asked at a cap of 4, a vector holding
+        # that optimum is a checked family that beats the cap, whether it comes
+        # from the search over every value, the LP or the integer program.
         cands = enumerate_admissible_diffsets(30).candidates
         values = sorted(set().union(*cands))
         incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
@@ -303,9 +305,11 @@ class TestSharpBound:
         fake = SimpleNamespace(status=0, success=True, x=vector, ineqlin=SimpleNamespace(marginals=np.zeros(len(values))))
         unsolved = SimpleNamespace(status=4)
         monkeypatch.setattr(oracle, "linprog", lambda **kwargs: fake if source == "linprog" else unsolved)
-        monkeypatch.setattr(oracle, "milp", lambda **kwargs: fake)
+        infeasible = SimpleNamespace(status=2, success=False)
+        monkeypatch.setattr(oracle, "milp", lambda **kwargs: fake if source == "milp" else infeasible)
+        index = oracle._cover_index(incidence, np.ones(len(values))) if source == "_cover" else None
         with pytest.raises(InvariantViolation, match="^a family of 5 members beats the proven cap 4$"):
-            oracle._ask(incidence, np.zeros(len(cands)), np.ones(len(cands)), 4, np.zeros(len(values)), None)
+            oracle._ask(incidence, np.zeros(len(cands)), np.ones(len(cands)), 4, np.zeros(len(values)), None, index)
 
     def test_overlapping_geh_family_is_refused(self, monkeypatch):
         # {2,4,6} and {2,6,8} share 2 and 6, so they are no witness.
@@ -366,17 +370,24 @@ class TestSharpBound:
         assert milp_calls and all(found is not None for *_, found in milp_calls)
 
     def test_no_question_forces_an_excluded_column(self, monkeypatch, oracle_calls):
-        # The columns the cap's proof bounds out are never forced in, so the
-        # LPs that only proved "no" for them are not solved: even x in 48..72
-        # took 165 LP calls without the exclusion.
+        # The columns the cap's proof bounds out are never forced in, neither
+        # in a question nor in the search over the row values, so the LPs that
+        # only proved "no" for them are not solved: even x in 48..72 took 165
+        # LP calls without the exclusion.
         forced = []
-        real_ask = oracle._ask
+        searched = []
+        real_ask, real_cover = oracle._ask, oracle._cover
 
-        def spy(incidence, lower, upper, *args):
+        def spy_ask(incidence, lower, upper, *args):
             forced.append(bool(lower[excluded].any()))
             return real_ask(incidence, lower, upper, *args)
 
-        monkeypatch.setattr(oracle, "_ask", spy)
+        def spy_cover(index, lower, upper):
+            searched.append(bool(lower[excluded].any()))
+            return real_cover(index, lower, upper)
+
+        monkeypatch.setattr(oracle, "_ask", spy_ask)
+        monkeypatch.setattr(oracle, "_cover", spy_cover)
         total_excluded = lp_calls = 0
         for x in range(1, 73):
             cands = enumerate_admissible_diffsets(x).candidates
@@ -386,8 +397,8 @@ class TestSharpBound:
             max_disjoint_packing(x)
             if x >= 48 and x % 2 == 0:
                 lp_calls += oracle_calls.count("linprog") - before
-        assert forced and total_excluded > 0
-        assert not any(forced)
+        assert forced and searched and total_excluded > 0
+        assert not any(forced) and not any(searched)
         assert lp_calls < 165
 
     @pytest.mark.parametrize("x, candidates", [(0, ()), (-5, ()), (-5, ({2, 4, 6},))])
