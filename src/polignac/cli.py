@@ -205,7 +205,7 @@ def _build_parser() -> _Parser:
         "census",
         help="prime-pair gap census up to x",
         description="Sieves only 6i + 1 and 6i + 5 and counts each gap on two x/6-bit masks."
-        " At the caps (x = 1e8, dmax = 1000) a census takes 1.4-2.1 s and 129 MB peak RSS,"
+        " At the caps (x = 1e8, dmax = 1000) a census takes 1.5-1.9 s and 81 MB peak RSS,"
         " measured in five fresh processes on a 2-vCPU VM.",
     )
     p.add_argument("--x", type=int, required=True, help=f"at most {sieve.CENSUS_MAX_X}")

@@ -21,6 +21,9 @@ family is refused above the cap in one place, ``_family``.
 The certificate is the lexicographically first optimum in canonical order:
 a candidate is committed iff some optimum agreeing with every earlier
 decision contains it.
+The CLI imports this module, and with it numpy, on every command;
+``scipy.optimize`` loads only when ``linprog`` or ``milp`` first runs, so
+of all commands only ``pack exact`` pays for it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .admissible import is_admissible
 from .packing import InvariantViolation, PackingCertificate, geh_family, k3_sharp_upper_bound
@@ -43,6 +45,20 @@ DUAL_SCALE = 2**20
 # medians of 7, 2-vCPU VM); x = 216 and 264 read 14-16 s and 21-24 s at 200,
 # 400 and 1000 nodes.
 COVER_NODES = 200
+
+
+def linprog(**kwargs):
+    """scipy.optimize.linprog, imported on the first call so that no other command loads scipy."""
+    from scipy.optimize import linprog
+
+    return linprog(**kwargs)
+
+
+def milp(**kwargs):
+    """scipy.optimize.milp, imported on the first call like ``linprog``."""
+    from scipy.optimize import milp
+
+    return milp(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -252,6 +268,8 @@ def _ask(
         found = _family(incidence, lower, upper, target, lp.x)
         if found is not None and len(found) >= target:
             return found, duals
+    from scipy.optimize import Bounds, LinearConstraint
+
     count = LinearConstraint(np.ones((1, incidence.shape[1])), target, np.inf)
     result = milp(
         c=np.zeros(incidence.shape[1]),

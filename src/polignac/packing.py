@@ -22,9 +22,9 @@ PAPER_LITERAL = "paper-literal"
 EXTENDED = "extended"
 GEH_STRATEGIES = (PAPER_LITERAL, EXTENDED)
 # Most candidates a construction builds; more are refused before any is built.
-# At the limit, `pack geh` (x = 1200007) takes 1.4-1.5 s and 238 MB peak RSS
+# At the limit, `pack geh` (x = 1200007) takes 1.2-1.4 s and 190 MB peak RSS
 # in a fresh process on a 2-vCPU VM, JSON rendering (0.5 s of it) included;
-# `pack regular --k 3 --x 2400011` takes 0.8-1.2 s and 185 MB.
+# `pack regular --k 3 --x 2400011` takes 0.8-0.9 s and 137 MB.
 CONSTRUCTION_MAX_CANDIDATES = 200_000
 
 

@@ -425,13 +425,17 @@ class TestJsonRendering:
 
 
 class TestImports:
-    def imported(self, *modules):
-        """Names in sys.modules of a fresh interpreter after importing ``modules``."""
-        code = f"import sys, {', '.join(modules)}; print(' '.join(sys.modules))"
+    def loaded(self, code):
+        """Names in sys.modules of a fresh interpreter after running ``code``."""
+        code += "\nimport sys; print(' '.join(sys.modules))"
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
         return set(out.split())
+
+    def imported(self, *modules):
+        """Names in sys.modules of a fresh interpreter after importing ``modules``."""
+        return self.loaded(f"import {', '.join(modules)}")
 
     def test_construction_modules_load_neither_numpy_nor_scipy(self):
         loaded = self.imported("polignac.sieve", "polignac.admissible", "polignac.packing")
@@ -441,3 +445,12 @@ class TestImports:
     def test_cli_loads_the_oracle(self):
         # The benchmark tracer looks the oracle up in sys.modules after importing only the CLI.
         assert "polignac.oracle" in self.imported("polignac.cli")
+
+    def test_cli_defers_scipy_optimize_to_the_first_solve(self):
+        commands = [["bound", "--k", "3"], ["census", "--x", "1000", "--dmax", "10"], ["pack", "geh", "--x", "20"],
+                    ["pack", "regular", "--k", "3", "--x", "100"], ["check", "0", "2", "6"]]
+        code = "import polignac.cli\n" + "".join(
+            f"assert polignac.cli.run_command({argv!r}).exit_code == 0\n" for argv in commands)
+        assert "scipy.optimize" not in self.loaded(code)
+        exact = code + "assert polignac.cli.run_command(['pack', 'exact', '--x', '24']).exit_code == 0"
+        assert "scipy.optimize" in self.loaded(exact)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
@@ -168,6 +169,21 @@ class TestMaxDisjointPacking:
             cert = max_disjoint_packing(x)
             assert (cert.x, cert.members, cert.raw_count) == (x, (), 0)
         assert oracle_calls == []
+
+    def test_every_solve_goes_through_the_oracle_solver_names(self, monkeypatch):
+        # The benchmark tracer and the oracle_calls / milp_calls fixtures patch these two globals.
+        assert oracle.linprog.__module__ == oracle.milp.__module__ == "polignac.oracle"
+        seen = {"oracle": [], "scipy": []}
+
+        def spy(where, name, real):
+            return lambda **kwargs: seen[where].append(name) or real(**kwargs)
+
+        for name in ("linprog", "milp"):
+            monkeypatch.setattr(oracle, name, spy("oracle", name, getattr(oracle, name)))
+            monkeypatch.setattr(scipy.optimize, name, spy("scipy", name, getattr(scipy.optimize, name)))
+        max_disjoint_packing(30)
+        assert seen["oracle"] == seen["scipy"]
+        assert {"linprog", "milp"} <= set(seen["oracle"])
 
     def test_cap_enforced(self):
         assert len(enumerate_admissible_diffsets(323).candidates) <= 5000
