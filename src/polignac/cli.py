@@ -23,7 +23,6 @@ from . import admissible, oracle, packing, sieve
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
-FORMATS = ("json", "csv", "text")
 
 
 class _HelpRequested(Exception):
@@ -67,10 +66,9 @@ def _decimal(value: Fraction) -> str:
     return f"{mantissa}e{exponent:+03d}"
 
 
-def _certificate_payload(command: str, cert: packing.PackingCertificate) -> dict:
+def _certificate_payload(cert: packing.PackingCertificate) -> dict:
     cert.validate()
     return {
-        "command": command,
         "k": cert.k,
         "x": cert.x,
         "count": cert.count,
@@ -81,9 +79,8 @@ def _certificate_payload(command: str, cert: packing.PackingCertificate) -> dict
     }
 
 
-def _density_payload(command: str, k: int, value: Fraction) -> dict:
+def _density_payload(k: int, value: Fraction) -> dict:
     return {
-        "command": command,
         "k": k,
         "value": _rational(value),
         "decimal": _decimal(value),
@@ -91,13 +88,12 @@ def _density_payload(command: str, k: int, value: Fraction) -> dict:
 
 
 def _bound(args: argparse.Namespace) -> dict:
-    return _density_payload("bound", args.k, packing.lower_bound_density(args.k))
+    return _density_payload(args.k, packing.lower_bound_density(args.k))
 
 
 def _check(args: argparse.Namespace) -> dict:
     pattern = admissible.normalize(args.offsets)
     return {
-        "command": "check",
         "offsets": list(pattern),
         "admissible": admissible.is_admissible(pattern),
     }
@@ -107,7 +103,6 @@ def _diffs(args: argparse.Namespace) -> dict:
     pattern = admissible.normalize(args.offsets)
     ds = admissible.difference_set(pattern)
     return {
-        "command": "diffs",
         "offsets": list(pattern),
         "values": sorted(ds),
         "span": max(ds, default=0),
@@ -115,27 +110,26 @@ def _diffs(args: argparse.Namespace) -> dict:
 
 
 def _pack_regular(args: argparse.Namespace) -> dict:
-    return _certificate_payload("pack regular", packing.greedy_regular_packing(args.k, args.x))
+    return _certificate_payload(packing.greedy_regular_packing(args.k, args.x))
 
 
 def _pack_geh(args: argparse.Namespace) -> dict:
-    return _certificate_payload("pack geh", packing.geh_family(args.x, args.strategy))
+    return _certificate_payload(packing.geh_family(args.x, args.strategy))
 
 
 def _pack_exact(args: argparse.Namespace) -> dict:
-    return _certificate_payload("pack exact", oracle.max_disjoint_packing(args.x))
+    return _certificate_payload(oracle.max_disjoint_packing(args.x))
 
 
 def _upper(args: argparse.Namespace) -> dict:
     if args.x is not None:
-        return {"command": "upper", "x": args.x, "count": packing.k3_finite_upper_bound(args.x)}
-    return _density_payload("upper", args.k, packing.trivial_upper_bound_density(args.k))
+        return {"x": args.x, "count": packing.k3_finite_upper_bound(args.x)}
+    return _density_payload(args.k, packing.trivial_upper_bound_density(args.k))
 
 
 def _census(args: argparse.Namespace) -> dict:
     report = sieve.prime_pair_census(args.x, args.dmax)
     return {
-        "command": "census",
         "x": report.x,
         "dmax": report.dmax,
         "counts": {str(d): c for d, c in report.counts.items()},
@@ -144,7 +138,8 @@ def _census(args: argparse.Namespace) -> dict:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """Each leaf subparser carries its handler as the ``run`` default.
+    """Each leaf subparser carries its handler as the ``run`` default and
+    its usage path below ``polignac`` (``"pack geh"``) as the ``name`` default.
 
     Built once and shared: parsing returns a new namespace and leaves no
     state on the parser, and help and errors raise instead of printing.
@@ -214,6 +209,7 @@ def _build_parser() -> _Parser:
 
     for leaf in (*sub.choices.values(), *pack_sub.choices.values()):
         if leaf.get_default("run"):
+            leaf.set_defaults(name=leaf.prog.removeprefix(f"{parser.prog} "))
             # Added last, so it is the last option in every usage line; SUPPRESS
             # so a --format given before the subcommand is not clobbered.
             leaf.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
@@ -280,12 +276,16 @@ def _render_csv(payload: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+_RENDERERS = {"json": _render_json, "csv": _render_csv, "text": _render_text}
+FORMATS = tuple(_RENDERERS)
+
+
 def run_command(argv: list[str]) -> CommandResult:
     """Parse and execute one invocation; never raises, never exits."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = args.run(args)
+        payload = {"command": args.name, **args.run(args)}
     except _HelpRequested as exc:
         return CommandResult({"help": str(exc)}, EXIT_OK)
     except ValueError as exc:
@@ -296,11 +296,7 @@ def run_command(argv: list[str]) -> CommandResult:
 
 
 def render(result: CommandResult, fmt: str) -> str:
-    if fmt == "json":
-        return _render_json(result.payload)
-    if fmt == "csv":
-        return _render_csv(result.payload)
-    return _render_text(result.payload)
+    return _RENDERERS[fmt](result.payload)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -94,10 +94,6 @@ def prime_pair_census(x: int, dmax: int) -> CensusReport:
     if x > CENSUS_MAX_X:
         raise ValueError(f"x = {x} exceeds the census limit {CENSUS_MAX_X}")
     a, b = _prime_flags(x)
-    # The pair (3, 3 + d): 3 + d is 6i + 5 (d = 2 mod 6) or 6i + 1 (d = 4 mod 6), i = (3 + d) // 6.
-    with_three = {
-        d: (b if d % 6 == 2 else a)[(3 + d) // 6] for d in range(2, min(dmax, x - 3) + 1, 2) if d % 6
-    }
     ones = int(a.translate(_FLAG_DIGITS), 2)
     fives = int(b.translate(_FLAG_DIGITS), 2)
     counts = {}
@@ -105,7 +101,8 @@ def prime_pair_census(x: int, dmax: int) -> CensusReport:
         if d % 6 == 0:
             counts[d] = (ones & (ones >> d // 6)).bit_count() + (fives & (fives >> d // 6)).bit_count()
         elif d % 6 == 2:
-            counts[d] = ((fives >> (d + 4) // 6) & ones).bit_count() + with_three.get(d, 0)
+            # The pair (3, 3 + d): 3 + d is 6i + 5 here and 6i + 1 below, i = (3 + d) // 6.
+            counts[d] = ((fives >> (d + 4) // 6) & ones).bit_count() + (3 + d <= x and b[(3 + d) // 6])
         else:
-            counts[d] = ((ones >> (d - 4) // 6) & fives).bit_count() + with_three.get(d, 0)
+            counts[d] = ((ones >> (d - 4) // 6) & fives).bit_count() + (3 + d <= x and a[(3 + d) // 6])
     return CensusReport(x, dmax, counts)

@@ -261,7 +261,9 @@ class TestCensus:
 
 class TestPlumbing:
     def test_unknown_command(self):
-        assert run_command(["frobnicate"]).exit_code == 1
+        result = run_command(["frobnicate"])
+        assert result.exit_code == 1
+        assert result.payload.keys() == {"error"}
 
     def test_unknown_flag(self):
         assert run_command(["bound", "--q", "3"]).exit_code == 1
@@ -299,6 +301,7 @@ class TestPlumbing:
             result = run_command(argv)
             assert result.exit_code == 0
             assert capsys.readouterr().out == ""
+            assert result.payload.keys() == {"help"}
             assert result.payload["help"].startswith(usage)
             assert main(argv) == 0
             out = capsys.readouterr().out
@@ -321,7 +324,7 @@ class TestPlumbing:
         assert _build_parser() is _build_parser()
 
     def test_format_position_independent(self, capsys):
-        for leaf, args in LEAVES:
+        for leaf, args in (*LEAVES, (["upper"], ["--k", "3"])):
             assert main(["--format", "json", *leaf, *args]) == 0
             before = capsys.readouterr().out
             assert main([*leaf, *args, "--format", "json"]) == 0
