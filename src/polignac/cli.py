@@ -175,9 +175,10 @@ def _build_parser() -> _Parser:
         "exact",
         help="exhaustive maximum packing (k = 3)",
         description="The optimum is proven in closed form and met by the geh family, except when"
-        " x mod 6 is 0 or 1 and m = x // 6 is 0 or 1 mod 4, where it is m, one more. Every"
-        " decision asks whether a disjoint family of at least a target size exists: an exact"
-        " LP dual bound can say no. In the lexicographic extraction at the cap m, a depth-first"
+        " x mod 6 is 0 or 1 and m = x // 6 is 0 or 1 mod 4, where it is m, one more; there an"
+        " integer program alone finds a family of m members, since one exists. Every decision"
+        " of the lexicographic extraction asks whether a disjoint family of at least a target"
+        " size exists: an exact LP dual bound can say no. At the cap m, a depth-first"
         " search for a family holding every value the cap's proof requires comes next: a"
         " checked cover says yes, an exhausted search says no, and after a fixed number of"
         " nodes it passes the question on. Then a checked LP or integer-program family says"

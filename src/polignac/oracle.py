@@ -3,16 +3,16 @@ difference sets in [1, x] and find a maximum disjoint subfamily.
 
 The optimum is the proven cap ``k3_sharp_upper_bound(x)``, attained by a
 checked family: geh's members, or in the perfect case, where geh is one
-short, a family found at the cap. Every decision is one question to
-``_ask``: is there a disjoint family of at least ``target`` members within
-the bounds? The LP relaxation's duals give an exact integer bound that can
-say "no". During extraction, wherever the cap's proof gives value rows, a
-depth-first search for a disjoint family holding every row value
-(``_cover``) comes next: a checked cover says "yes", an exhausted search
-says "no", and past ``COVER_NODES`` nodes it passes the question on. Then a
-checked LP or integer-program vector says "yes"; only an integer program's
-"infeasible" is taken from HiGHS on trust, and it can only reject a
-candidate during extraction, never lower the optimum.
+short, a family found at the cap by ``_integer_program`` alone. Every
+extraction decision is one question to ``_ask``: is there a disjoint family
+of at least ``target`` members within the bounds? The LP relaxation's duals
+give an exact integer bound that can say "no". Wherever the cap's proof
+gives value rows, a depth-first search for a disjoint family holding every
+row value (``_cover``) comes next: a checked cover says "yes", an exhausted
+search says "no", and past ``COVER_NODES`` nodes it passes the question on.
+Then a checked LP or integer-program vector says "yes"; only an integer
+program's "infeasible" is taken from HiGHS on trust, and it can only reject
+a candidate during extraction, never lower the optimum.
 ``_cap_bounds`` reads the cap's proof once, before any question: it gives
 the cap, the integer program's rows (what a family at the cap uses) and the
 column bounds (when the cap is x // 6, every candidate holding two or more
@@ -214,6 +214,30 @@ def _checked(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target
     return found
 
 
+def _integer_program(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, target: int, row_lower: np.ndarray) -> set[int] | None:
+    """Columns of a checked disjoint family of >= target members in bounds, or None if HiGHS finds none.
+
+    The oracle's one ``milp`` call: an integer program with a zero objective,
+    value rows in [row_lower, 1] and a count row sum(z) >= target. Its vector
+    must pass ``_checked`` or raise InvariantViolation. Its "infeasible"
+    (HiGHS status 2) is the one answer the oracle takes on trust.
+    """
+    from scipy.optimize import Bounds, LinearConstraint
+
+    count = LinearConstraint(np.ones((1, incidence.shape[1])), target, np.inf)
+    result = milp(
+        c=np.zeros(incidence.shape[1]),
+        constraints=[LinearConstraint(incidence, row_lower, 1), count],
+        integrality=1,
+        bounds=Bounds(lower, upper),
+    )
+    if result.status == 2:  # infeasible: no such family
+        return None
+    if not result.success:
+        raise InvariantViolation(f"integer program failed: {result.message}")
+    return _checked(incidence, lower, upper, target, result.x)
+
+
 def _ask(
     incidence: np.ndarray,
     lower: np.ndarray,
@@ -225,21 +249,19 @@ def _ask(
 ) -> tuple[set[int] | None, np.ndarray | None]:
     """Columns of a checked disjoint family of >= target members in bounds, or None if there is none.
 
-    target is the proven cap, so ``_family`` raises on a checked family of
-    more. duals are the marginals of an earlier LP over the same incidence, or
-    None; the duals to try next are returned with the answer. The question
-    goes, in order, to (1) those duals, since ``_dual_bound`` holds for any
-    y; (2) if index is not None, ``_cover``'s search over the row values,
-    whose cover says "yes", whose exhausted search says "no" and which
-    passes the question on when it gives up; (3) a fresh LP relaxation,
-    whose dual bound can say "no" and whose vector, if ``_family`` accepts
-    it with >= target members, says "yes"; the LP omits the value rows, so
-    its bound is the plain relaxation's; (4) an integer program with a zero
-    objective, value rows in [row_lower, 1] and a count row sum(z) >=
-    target. A "yes" vector from the search or the integer program must
-    pass ``_checked`` or raise InvariantViolation. The integer program's
-    "infeasible" (HiGHS status 2) is the one answer taken on trust; a bad
-    dual can only fail to reject.
+    The extraction asks every question here. target is the proven cap, so
+    ``_family`` raises on a checked family of more. duals are the marginals
+    of an earlier LP over the same incidence, or None; the duals to try next
+    are returned with the answer. The question goes, in order, to (1) those
+    duals, since ``_dual_bound`` holds for any y; (2) if index is not None,
+    ``_cover``'s search over the row values, whose cover says "yes", whose
+    exhausted search says "no" and which passes the question on when it
+    gives up; (3) a fresh LP relaxation, whose dual bound can say "no" and
+    whose vector, if ``_family`` accepts it with >= target members, says
+    "yes"; the LP omits the value rows, so its bound is the plain
+    relaxation's; (4) ``_integer_program``. A "yes" vector from the search
+    must pass ``_checked`` or raise InvariantViolation; a bad dual can only
+    fail to reject.
     """
     if duals is not None and _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
         return None, duals
@@ -268,20 +290,7 @@ def _ask(
         found = _family(incidence, lower, upper, target, lp.x)
         if found is not None and len(found) >= target:
             return found, duals
-    from scipy.optimize import Bounds, LinearConstraint
-
-    count = LinearConstraint(np.ones((1, incidence.shape[1])), target, np.inf)
-    result = milp(
-        c=np.zeros(incidence.shape[1]),
-        constraints=[LinearConstraint(incidence, row_lower, 1), count],
-        integrality=1,
-        bounds=Bounds(lower, upper),
-    )
-    if result.status == 2:  # infeasible: no such family
-        return None, duals
-    if not result.success:
-        raise InvariantViolation(f"integer program failed: {result.message}")
-    return _checked(incidence, lower, upper, target, result.x), duals
+    return _integer_program(incidence, lower, upper, target, row_lower), duals
 
 
 def max_disjoint_packing(x: int) -> PackingCertificate:
@@ -291,9 +300,10 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     EXACT_MAX_X] is refused with ValueError before any solve. The optimum is
     the proven cap ``k3_sharp_upper_bound(x)``: the first witness is the geh
     members among the candidates, checked like any solver vector; it meets
-    the cap except in the perfect case, where it is one short and ``_ask`` is
-    asked for a family at the cap. A checked family above the cap, or a "no"
-    at it, refutes the proof and raises InvariantViolation. Before any
+    the cap except in the perfect case, where it is one short and
+    ``_integer_program`` alone is asked for a family at the cap: one exists,
+    so an LP there could not say "no". A checked family above the cap, or a
+    "no" at it, refutes the proof and raises InvariantViolation. Before any
     question, ``_cap_bounds`` gives the cap and bounds to 0 the candidates
     that the proof keeps out of every optimum, so no question forces them.
 
@@ -303,9 +313,9 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     iff ``_ask`` finds a family of the optimum's size, which becomes the
     witness. The LP duals carry over from each question to the next. Where
     ``_cap_bounds`` gives rows, these questions try ``_cover``'s search, on
-    column bitmasks built once per x; the perfect case's question before
-    extraction goes to the LP and the integer program without it (the
-    layered benchmark's self-test counts that integer program).
+    column bitmasks built once per x. The perfect case's question before
+    extraction asks neither the search nor an LP (the layered benchmark's
+    self-test counts its ``milp`` call).
     """
     cands = enumerate_admissible_diffsets(x).candidates
     n = len(cands)
@@ -320,11 +330,11 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     witness = _family(incidence, lower, upper, target, np.array([ds in geh for ds in cands], dtype=float))
     if witness is None:
         raise InvariantViolation("the geh family is not a disjoint 0/1 family in bounds")
-    duals = None
     if len(witness) < target:
-        witness, duals = _ask(incidence, lower, upper, target, rows, duals, None)
+        witness = _integer_program(incidence, lower, upper, target, rows)
         if witness is None:
             raise InvariantViolation(f"no disjoint family meets the proven cap {target}")
+    duals = None
     used: set[int] = set()
     for i in range(n):
         if lower.sum() == target:

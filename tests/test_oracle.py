@@ -181,7 +181,7 @@ class TestMaxDisjointPacking:
         for name in ("linprog", "milp"):
             monkeypatch.setattr(oracle, name, spy("oracle", name, getattr(oracle, name)))
             monkeypatch.setattr(scipy.optimize, name, spy("scipy", name, getattr(scipy.optimize, name)))
-        max_disjoint_packing(30)
+        max_disjoint_packing(36)
         assert seen["oracle"] == seen["scipy"]
         assert {"linprog", "milp"} <= set(seen["oracle"])
 
@@ -377,6 +377,13 @@ class TestSharpBound:
         assert cert.count == k3_sharp_upper_bound(x)
         initial = [(target, set(rows), found) for target, rows, committed, found in milp_calls if not committed]
         assert initial == [(8, {1.0}, 8)] * unrestricted
+
+    @pytest.mark.parametrize("x", [30, 48, 54, 72])
+    def test_perfect_case_asks_no_lp_before_the_first_integer_program(self, oracle_calls, x):
+        # A family at the cap exists, so an LP could not say "no" to the
+        # question before extraction: it goes to the integer program alone.
+        assert max_disjoint_packing(x).count == x // 6
+        assert oracle_calls[:2] == ["geh_family", "milp"]
 
     def test_no_decision_rests_on_an_infeasible_answer(self, milp_calls):
         # Every "no" up to x = 72 is an exact dual bound: each integer program
