@@ -21,16 +21,16 @@ family is refused above the cap in one place, ``_family``.
 The certificate is the lexicographically first optimum in canonical order:
 a candidate is committed iff some optimum agreeing with every earlier
 decision contains it.
-The CLI imports this module, and with it numpy, on every command;
-``scipy.optimize`` loads only when ``linprog`` or ``milp`` first runs, so
-of all commands only ``pack exact`` pays for it.
+The CLI imports this module on every command, but numpy loads only when a
+function here first needs it (``max_disjoint_packing`` after it has
+enumerated a nonempty instance), and ``scipy.optimize`` only when
+``linprog`` or ``milp`` first runs, so of all commands only a ``pack exact``
+with candidates pays for either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .admissible import is_admissible
 from .packing import InvariantViolation, PackingCertificate, geh_family, k3_sharp_upper_bound
@@ -93,6 +93,8 @@ def _family(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, cap: in
 
     A family of more than cap members refutes the cap's proof and raises InvariantViolation.
     """
+    import numpy as np
+
     chosen = np.round(vector)
     # 1e-6 is HiGHS's default integrality (MIP feasibility) tolerance.
     integral = np.all(np.abs(vector - chosen) <= 1e-6)
@@ -120,6 +122,8 @@ def _cap_bounds(x: int, values: list[int], candidates: tuple[frozenset[int], ...
     already rejects almost without a solve, and bounding them only moves
     HiGHS onto slower paths.
     """
+    import numpy as np
+
     target = k3_sharp_upper_bound(x)
     if target != x // 6:
         return target, np.zeros(len(values)), np.ones(len(candidates))
@@ -140,6 +144,8 @@ def _dual_bound(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray, mar
     with lower bound 1 are disjoint; it also keeps every integer below within
     (rows + 3 * columns) * DUAL_SCALE in size, far inside int64.
     """
+    import numpy as np
+
     y = np.clip(np.nan_to_num(-np.asarray(marginals, dtype=float)), 0, 1)
     scaled = np.rint(y * DUAL_SCALE).astype(np.int64)
     reduced = DUAL_SCALE - incidence.T @ scaled
@@ -153,6 +159,8 @@ class _GaveUp(Exception):
 
 def _bits(columns: np.ndarray) -> int:
     """The nonzero entries of a column vector as an integer bitmask: bit j is column j."""
+    import numpy as np
+
     return int.from_bytes(np.packbits(columns != 0, bitorder="little").tobytes(), "little")
 
 
@@ -162,6 +170,8 @@ def _cover_index(incidence: np.ndarray, rows: np.ndarray) -> tuple[list[int], li
     The first list has, per row value, the columns holding it; the second,
     per column, the columns sharing a value with it, itself included.
     """
+    import numpy as np
+
     masks = [_bits(row) for row in incidence]
     clashes = [0] * incidence.shape[1]
     for mask, row in zip(masks, incidence):
@@ -181,6 +191,8 @@ def _cover(index: tuple[list[int], list[int]], lower: np.ndarray, upper: np.ndar
     exhausted search is an exact "no". Past ``COVER_NODES`` nodes the search
     raises _GaveUp.
     """
+    import numpy as np
+
     holders, clashes = index
     nodes = 0
 
@@ -222,6 +234,7 @@ def _integer_program(incidence: np.ndarray, lower: np.ndarray, upper: np.ndarray
     must pass ``_checked`` or raise InvariantViolation. Its "infeasible"
     (HiGHS status 2) is the one answer the oracle takes on trust.
     """
+    import numpy as np
     from scipy.optimize import Bounds, LinearConstraint
 
     count = LinearConstraint(np.ones((1, incidence.shape[1])), target, np.inf)
@@ -263,6 +276,8 @@ def _ask(
     must pass ``_checked`` or raise InvariantViolation; a bad dual can only
     fail to reject.
     """
+    import numpy as np
+
     if duals is not None and _dual_bound(incidence, lower, upper, duals) < target * DUAL_SCALE:
         return None, duals
     if index is not None:
@@ -321,6 +336,8 @@ def max_disjoint_packing(x: int) -> PackingCertificate:
     n = len(cands)
     if not n:
         return PackingCertificate(3, x, (), raw_count=0)
+    import numpy as np
+
     values = sorted({v for ds in cands for v in ds})
     incidence = np.array([[v in ds for ds in cands] for v in values], dtype=np.int64)
     target, rows, upper = _cap_bounds(x, values, cands)

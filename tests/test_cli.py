@@ -449,11 +449,11 @@ class TestImports:
         # The benchmark tracer looks the oracle up in sys.modules after importing only the CLI.
         assert "polignac.oracle" in self.imported("polignac.cli")
 
-    def test_cli_defers_scipy_optimize_to_the_first_solve(self):
-        commands = [["bound", "--k", "3"], ["census", "--x", "1000", "--dmax", "10"], ["pack", "geh", "--x", "20"],
-                    ["pack", "regular", "--k", "3", "--x", "100"], ["check", "0", "2", "6"]]
+    def test_cli_defers_numpy_and_scipy_optimize_to_the_first_solve(self):
+        runs = [([*leaf, *args], 0) for leaf, args in LEAVES if leaf != ["pack", "exact"]]
+        runs += [(["upper", "--k", "3"], 0), (["--help"], 0), (["pack", "exact", "--x", "324"], 1)]
         code = "import polignac.cli\n" + "".join(
-            f"assert polignac.cli.run_command({argv!r}).exit_code == 0\n" for argv in commands)
-        assert "scipy.optimize" not in self.loaded(code)
+            f"assert polignac.cli.run_command({argv!r}).exit_code == {status}\n" for argv, status in runs)
+        assert not {"numpy", "scipy.optimize"} & self.loaded(code)
         exact = code + "assert polignac.cli.run_command(['pack', 'exact', '--x', '24']).exit_code == 0"
-        assert "scipy.optimize" in self.loaded(exact)
+        assert {"numpy", "scipy.optimize"} <= self.loaded(exact)

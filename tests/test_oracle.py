@@ -338,7 +338,6 @@ class TestSharpBound:
         # x = 30 is perfect: geh has 4 members and the cap is 5. An integer
         # program answering "infeasible" at the cap would refute its proof,
         # so it raises instead of returning 4.
-        monkeypatch.setattr(oracle, "linprog", lambda **kwargs: SimpleNamespace(status=4))
         monkeypatch.setattr(oracle, "milp", lambda **kwargs: SimpleNamespace(status=2, success=False))
         with pytest.raises(InvariantViolation, match="no disjoint family meets the proven cap 5"):
             max_disjoint_packing(30)
